@@ -5,11 +5,11 @@ Each preset encodes one published-figure configuration (see `mazer --help`
 and docs/csv_schema.md for the column layouts).  Output lands in one CSV
 per preset; plot with any CSV-aware tool, e.g.:
 
-    python3 scripts/reproduce_figures.py --outdir out figs1a fig2
+    python3 scripts/reproduce_figures.py --outdir out fig1a fig2
     python3 -c "import pandas as pd, matplotlib.pyplot as plt; \
         d = pd.read_csv('out/fig1a.csv'); plt.plot(d.k, d.T_total); plt.show()"
 
-fig4a/fig4b run the full pump + selection pipeline and take minutes.
+fig4a/fig4b run the full pump + selection pipeline and take tens of seconds.
 """
 
 import argparse

@@ -10,6 +10,7 @@ widths are ordinary Hz (angular widths divided by 2 pi).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -17,14 +18,14 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import DomainError, SystemParams
+from .core import DomainError, SystemParams, _flux_b, _sqrt_upper_c
 from .oracle import ModeFunction, solve
 from .pump import PumpParams, mean_p_em, stationary_distribution
 from .scattering import scatter
-from .selection import final_distribution, maxwell_boltzmann_initial
+from .selection import final_distribution, maxwell_boltzmann_initial, refined_grid
 from .ultracold import (
-    analytic_position,
     catalog_in_window,
+    peak_position,
     resonance_amplitude,
     resonance_positions,
     transmission_ultracold,
@@ -143,21 +144,34 @@ def _emit(columns: Sequence[str], rows: Iterable[Sequence], args) -> None:
             out.close()
 
 
-def _read_config(path: str, parser: argparse.ArgumentParser, known: set[str]) -> dict:
-    """key = value lines; keys mirror the long flag names (with underscores)."""
+def _read_config(path: str, sp: argparse.ArgumentParser) -> dict:
+    """key = value lines; keys mirror the long flag names (with underscores).
+
+    Each value is parsed as the subcommand's own `--key value...` tokens, so
+    the flag's type, nargs and choices apply; boolean flags take 1/true/yes.
+    """
+    known = vars(sp.parse_args([]))
     values: dict = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                parser.error(f"{path}:{lineno}: expected 'key = value'")
-            key, _, val = line.partition("=")
-            key = key.strip().replace("-", "_")
-            if key not in known:
-                parser.error(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = val.strip()
+    try:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+    except OSError as exc:
+        sp.error(f"cannot read config: {exc}")
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            sp.error(f"{path}:{lineno}: expected 'key = value'")
+        key, _, val = line.partition("=")
+        key = key.strip().replace("-", "_")
+        if key not in known:
+            sp.error(f"{path}:{lineno}: unknown config key {key!r}")
+        if isinstance(known[key], bool):
+            values[key] = val.strip().lower() in ("1", "true", "yes")
+        else:
+            flag = "--" + key.replace("_", "-")
+            values[key] = getattr(sp.parse_args([flag, *val.split()]), key)
     return values
 
 
@@ -177,12 +191,7 @@ def cmd_transmission(args) -> int:
             params = SystemParams(d, args.coupling_length, args.photon_number)
             grid = _sweep_grid(args.k_min, args.k_max, args.points)
             if args.refine and grid.size:
-                extra = []
-                for peak in catalog_in_window(params, args.k_max, args.k_min):
-                    w = max(peak.width, 1e-14)
-                    extra.append(peak.position + w * np.linspace(-3, 3, 120))
-                grid = np.unique(np.concatenate([grid, *extra]))
-                grid = grid[(grid >= args.k_min) & (grid <= args.k_max)]
+                grid = refined_grid(grid, args.k_min, args.k_max, [params])
             for k in grid:
                 rows.append(_transmission_row(float(k), d, params, args))
     else:
@@ -230,15 +239,9 @@ def cmd_amplitude(args) -> int:
     rows = []
     for d in _sweep_grid(args.delta_min, args.delta_max, args.points):
         params = SystemParams(float(d), args.coupling_length, args.photon_number)
-        pos = analytic_position(args.m, params)
+        pos = peak_position(args.m, params)
         if pos is None:
             continue
-        refined = pos * pos <= params.detuning_ratio
-        if refined:
-            peaks = resonance_positions(params, (args.m, args.m))
-            if not peaks:
-                continue
-            pos = peaks[0].position
         row = [float(d), args.m, pos, resonance_amplitude(pos, params)]
         if args.g_hz is not None:
             row.insert(1, float(d) * args.g_hz / TWO_PI)
@@ -247,30 +250,23 @@ def cmd_amplitude(args) -> int:
     return 0
 
 
-def _initial_beam(args):
-    grid = np.linspace(0.0, args.k_max, args.points)
-    return maxwell_boltzmann_initial(args.k0, grid)
-
-
 def _photon_state(args, delta: float):
     base = SystemParams(delta, args.coupling_length, 0)
-    init = _initial_beam(args)
-    cache: dict[int, float] = {}
+    grid = np.linspace(0.0, args.k_max, args.points)
+    init = maxwell_boltzmann_initial(args.k0, grid)
 
+    @functools.cache
     def mem(n: int) -> float:
-        if n not in cache:
-            cache[n] = mean_p_em(n, init, base, kernel=args.kernel)
-        return cache[n]
+        return mean_p_em(n, init, base, kernel=args.kernel)
 
     dist = stationary_distribution(
         PumpParams(args.n_b, args.pump_ratio, args.truncation), mem
     )
-    return base, init, cache, mem, dist
+    return base, init, mem, dist
 
 
 def cmd_pump(args) -> int:
-    delta = args.delta[0] if isinstance(args.delta, list) else args.delta
-    base, init, cache, mem, dist = _photon_state(args, delta)
+    _, _, mem, dist = _photon_state(args, args.delta)
     rows = [[n, p, mem(n)] for n, p in enumerate(dist.probabilities)]
     _emit(["n", "p_st", "mean_p_em"], rows, args)
     return 0
@@ -280,7 +276,7 @@ def cmd_select(args) -> int:
     columns = ["delta", "k", "initial_density", "final_density"]
     rows = []
     for d in args.delta:
-        base, init, cache, mem, dist = _photon_state(args, d)
+        base, init, _, dist = _photon_state(args, d)
         fin = final_distribution(init, dist, base, jacobian=args.jacobian)
         pi = init.interpolator()
         for k, dens in zip(fin.grid, fin.density):
@@ -308,10 +304,7 @@ def cmd_oracle_check(args) -> int:
         params = SystemParams(d, kl, n)
         closed = scatter(k, params)
         o = solve(ModeFunction.mesa(kl), k, params)
-        kb2 = k * k - d
-        t_b_oracle = (
-            (math.sqrt(kb2) / k) * abs(o.t_b) ** 2 if kb2 > 0.0 else 0.0
-        )
+        t_b_oracle = _flux_b(k, _sqrt_upper_c(complex(k * k - d)), o.t_b)
         d_ta = abs(closed.T_a - abs(o.t_a) ** 2)
         d_tb = abs(closed.T_b - t_b_oracle)
         flux_err = abs(o.flux_sum - 1.0)
@@ -374,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--photon-number", type=int, default=0)
     sp.add_argument("--refine", action="store_true",
                     help="add grid points around catalogued resonances")
-    sp.set_defaults(func=cmd_transmission)
+    sp.set_defaults(func=cmd_transmission, subparser=sp)
 
     sp = sub.add_parser(
         "resonances",
@@ -390,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k-min", type=float, default=None)
     sp.add_argument("--k-max", type=float, default=None,
                     help="catalog every peak with position <= k-max instead of an m range")
-    sp.set_defaults(func=cmd_resonances)
+    sp.set_defaults(func=cmd_resonances, subparser=sp)
 
     sp = sub.add_parser(
         "amplitude",
@@ -404,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--points", type=int, default=2001)
     sp.add_argument("--coupling-length", type=float, default=1e3 * math.pi)
     sp.add_argument("--photon-number", type=int, default=0)
-    sp.set_defaults(func=cmd_amplitude)
+    sp.set_defaults(func=cmd_amplitude, subparser=sp)
 
     for name, helptext in (
         ("pump", "stationary photon distribution of the pumped cavity"),
@@ -419,7 +412,10 @@ def build_parser() -> argparse.ArgumentParser:
             ),
         )
         _add_common(sp)
-        sp.add_argument("--delta", type=float, nargs="+", default=[0.0])
+        if name == "pump":
+            sp.add_argument("--delta", type=float, default=0.0)
+        else:
+            sp.add_argument("--delta", type=float, nargs="+", default=[0.0])
         sp.add_argument("--coupling-length", type=float, default=200.0 * math.pi)
         sp.add_argument("--n-b", type=float, default=0.2)
         sp.add_argument("--pump-ratio", type=float, default=100.0)
@@ -430,7 +426,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--kernel", choices=("ultracold", "exact"), default="ultracold")
         sp.add_argument("--jacobian", action="store_true",
                         help="apply the dk'/dk density factor to the remapped term")
-        sp.set_defaults(func=cmd_pump if name == "pump" else cmd_select)
+        sp.set_defaults(
+            func=cmd_pump if name == "pump" else cmd_select, subparser=sp
+        )
 
     sp = sub.add_parser(
         "oracle-check",
@@ -451,67 +449,31 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n-max", type=int, default=3)
     sp.add_argument("--kl-min", type=float, default=1e2)
     sp.add_argument("--kl-max", type=float, default=1e4)
-    sp.set_defaults(func=cmd_oracle_check)
+    sp.set_defaults(func=cmd_oracle_check, subparser=sp)
 
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
-    # peek at the subcommand so preset/config defaults can be applied
     args = parser.parse_args(argv)
-    sub_actions = {
-        a.dest for a in parser._subparsers._group_actions[0].choices[args.command]._actions
-    }
-    overrides: dict = {}
-    if args.preset is not None:
-        preset = dict(PRESETS[args.preset])
-        if preset.pop("command") != args.command:
-            parser.error(
-                f"preset {args.preset!r} belongs to another subcommand"
-            )
-        overrides.update(preset)
-    if args.config is not None:
-        raw = _read_config(args.config, parser, sub_actions)
-        for key, val in raw.items():
-            current = getattr(args, key, None)
-            if isinstance(current, list) or key == "delta":
-                overrides[key] = [float(v) for v in val.split()]
-            elif isinstance(current, bool):
-                overrides[key] = val.lower() in ("1", "true", "yes")
-            elif isinstance(current, int) and not isinstance(current, bool):
-                overrides[key] = int(val)
-            else:
-                overrides[key] = float(val) if _is_number(val) else val
-    if overrides:
-        # explicit flags win over preset/config values
-        explicit = _explicit_flags(argv if argv is not None else sys.argv[1:])
-        for key, val in overrides.items():
-            if key not in sub_actions:
-                parser.error(f"unknown preset/config key {key!r}")
-            if key not in explicit:
-                setattr(args, key, val)
+    if args.preset is not None or args.config is not None:
+        # preset and config values become the subcommand's defaults, so a
+        # second parse keeps every flag given explicitly, abbreviated or not
+        sp = args.subparser
+        if args.preset is not None:
+            preset = dict(PRESETS[args.preset])
+            if preset.pop("command") != args.command:
+                sp.error(f"preset {args.preset!r} belongs to another subcommand")
+            sp.set_defaults(**preset)
+        if args.config is not None:
+            sp.set_defaults(**_read_config(args.config, sp))
+        args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (DomainError, OSError, ValueError, ArithmeticError, RuntimeError) as exc:
         print(f"mazer: error: {exc}", file=sys.stderr)
         return 1
-
-
-def _is_number(text: str) -> bool:
-    try:
-        float(text)
-        return True
-    except ValueError:
-        return False
-
-
-def _explicit_flags(argv: Sequence[str]) -> set[str]:
-    out = set()
-    for token in argv:
-        if token.startswith("--"):
-            out.add(token[2:].split("=", 1)[0].replace("-", "_"))
-    return out
 
 
 if __name__ == "__main__":  # pragma: no cover

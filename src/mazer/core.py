@@ -43,6 +43,13 @@ def _sqrt_upper_c(z: complex) -> complex:
     return w
 
 
+def _flux_b(k: float, k_b: complex, t_b: complex) -> float:
+    """Transmitted flux k_b/k |t_b|^2 into |b,n+1>; 0 unless k_b is real and > 0."""
+    if k_b.real > 0.0 and k_b.imag == 0.0:
+        return (k_b.real / k) * abs(t_b) ** 2
+    return 0.0
+
+
 def dressed_angle(detuning_ratio: float, photon_number: int) -> float:
     """Mixing angle theta_n of the dressed-state basis, in (0, pi/2).
 

@@ -84,13 +84,6 @@ class SMatrixResult:
     t_b: complex
     flux_sum: float
 
-    @property
-    def T_a(self) -> float:
-        return abs(self.t_a) ** 2
-
-    def T_b(self, k: float, k_b: complex) -> float:
-        return (k_b.real / k) * abs(self.t_b) ** 2
-
 
 def _segment_basis(u: float, s: float, detuning_ratio: float):
     """Eigenvalues and eigenvectors of the local 2x2 channel-coupling matrix."""

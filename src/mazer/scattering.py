@@ -14,7 +14,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .core import DomainError, SystemParams, _sqrt_upper_c
+from .core import DomainError, SystemParams, _flux_b, _sqrt_upper_c
 
 # Beyond this evanescent phase the transmission through the barrier-like
 # dressed channel underflows double precision; tau is then exactly 0.
@@ -195,10 +195,7 @@ def _scatter_closed_form(k: float, params: SystemParams) -> ScatteringResult:
     tau_b = pref * (t1 - t2) * inv_d
 
     T_a = abs(tau_a) ** 2
-    if kb.real > 0.0 and kb.imag == 0.0:
-        T_b = (kb.real / k) * abs(tau_b) ** 2
-    else:
-        T_b = 0.0
+    T_b = _flux_b(k, kb, tau_b)
     return ScatteringResult(
         tau_a=tau_a, tau_b=tau_b, T_a=T_a, T_b=T_b, T_total=T_a + T_b
     )
@@ -211,10 +208,7 @@ def _scatter_matching(k: float, params: SystemParams) -> ScatteringResult:
     res = solve(ModeFunction.mesa(params.coupling_length), k, params)
     kb = _sqrt_upper_c(complex(k * k - params.detuning_ratio))
     T_a = abs(res.t_a) ** 2
-    if kb.real > 0.0 and kb.imag == 0.0:
-        T_b = (kb.real / k) * abs(res.t_b) ** 2
-    else:
-        T_b = 0.0
+    T_b = _flux_b(k, kb, res.t_b)
     return ScatteringResult(
         tau_a=res.t_a,
         tau_b=res.t_b,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
@@ -99,27 +100,20 @@ def beam_transmissions(
     return t_a, t_b
 
 
-def _refined_grid(
-    initial: VelocityDistribution,
-    dist: PhotonDistribution,
-    params_base: SystemParams,
+def refined_grid(
+    grid: np.ndarray, lo: float, hi: float, params: Iterable[SystemParams]
 ) -> np.ndarray:
-    """Initial grid unioned with local refinements around every resonance."""
-    base = np.asarray(initial.grid, dtype=float)
-    lo, hi = float(base[0]), float(base[-1])
-    extra = [base]
-    for n, weight in enumerate(dist.probabilities):
-        if weight < POPULATION_CUTOFF:
-            continue
-        params = SystemParams(
-            params_base.detuning_ratio, params_base.coupling_length, n
-        )
-        for peak in catalog_in_window(params, hi, max(lo, 1e-9)):
-            w = max(peak.width, 1e-14)
-            local = peak.position + w * np.linspace(-3.0, 3.0, 6 * POINTS_PER_WIDTH)
-            extra.append(local[(local > lo) & (local < hi)])
-    grid = np.unique(np.concatenate(extra))
-    return grid[(grid >= lo) & (grid <= hi)]
+    """Sorted `grid` plus points across +-3 FWHM of each catalogued peak.
+
+    Peaks of every `params` in (lo, hi] count; the result is clipped to [lo, hi].
+    """
+    offsets = np.linspace(-3.0, 3.0, 6 * POINTS_PER_WIDTH)
+    extra = [np.asarray(grid, dtype=float)]
+    for p in params:
+        for peak in catalog_in_window(p, hi, max(lo, 1e-9)):
+            extra.append(peak.position + max(peak.width, 1e-14) * offsets)
+    out = np.unique(np.concatenate(extra))
+    return out[(out >= lo) & (out <= hi)]
 
 
 def final_distribution(
@@ -136,7 +130,12 @@ def final_distribution(
     the dk'/dk = k/k' density factor (the printed formula omits it).
     """
     d = params_base.detuning_ratio
-    grid = _refined_grid(initial, dist, params_base)
+    populated = [
+        SystemParams(d, params_base.coupling_length, n)
+        for n, weight in enumerate(dist.probabilities)
+        if weight >= POPULATION_CUTOFF
+    ]
+    grid = refined_grid(initial.grid, initial.grid[0], initial.grid[-1], populated)
     pi = initial.interpolator()
     out = np.zeros_like(grid)
     for i, k in enumerate(grid):
@@ -147,16 +146,14 @@ def final_distribution(
         t_a, _ = beam_transmissions(dist, k, params_base)
         value = pik * t_a
         if k * k > -d:
-            kp2 = k * k + d
-            if kp2 > 0.0:
-                kp = math.sqrt(kp2)
-                pikp = pi(kp)
-                pikp = float(pikp) if np.isfinite(pikp) else 0.0
-                if pikp > 0.0:
-                    _, t_b = beam_transmissions(dist, kp, params_base)
-                    term = pikp * t_b
-                    if jacobian:
-                        term *= k / kp
-                    value += term
+            kp = math.sqrt(k * k + d)
+            pikp = pi(kp)
+            pikp = float(pikp) if np.isfinite(pikp) else 0.0
+            if pikp > 0.0:
+                _, t_b = beam_transmissions(dist, kp, params_base)
+                term = pikp * t_b
+                if jacobian:
+                    term *= k / kp
+                value += term
         out[i] = value
     return VelocityDistribution(grid=tuple(grid), density=tuple(out))

@@ -30,9 +30,6 @@ class UltracoldTransmission:
     value: float
     valid: bool
 
-    def __float__(self) -> float:
-        return self.value
-
 
 @dataclass(frozen=True)
 class ResonancePeak:
@@ -145,6 +142,26 @@ def _refine_peak(seed: float, spacing: float, params: SystemParams) -> float:
     return float(res.x)
 
 
+def _locate_peak(m: int, params: SystemParams) -> tuple[float, bool] | None:
+    """(position, refined) of peak m, or None if its radicand is not positive.
+
+    Where channel b is closed at the analytic position (k^2 <= delta/g) the
+    peak is refined by maximizing the ultracold transmission around it.
+    """
+    pos = analytic_position(m, params)
+    if pos is None:
+        return None
+    if pos * pos > params.detuning_ratio:
+        return pos, False
+    return _refine_peak(pos, _peak_spacing(m, params), params), True
+
+
+def peak_position(m: int, params: SystemParams) -> float | None:
+    """Position of peak m (analytic, or refined where channel b is closed)."""
+    located = _locate_peak(m, params)
+    return None if located is None else located[0]
+
+
 def _fwhm(
     position: float, amplitude: float, spacing: float, params: SystemParams
 ) -> float:
@@ -192,15 +209,12 @@ def resonance_positions(
     for m in ms:
         if m < 1:
             raise DomainError(f"resonance index must be >= 1, got {m}")
-        pos = analytic_position(m, params)
-        if pos is None:
+        located = _locate_peak(m, params)
+        if located is None:
             continue
-        spacing = _peak_spacing(m, params)
-        refined = pos * pos <= params.detuning_ratio
-        if refined:
-            pos = _refine_peak(pos, spacing, params)
+        pos, refined = located
         amplitude = transmission_ultracold(pos, params).value
-        width = _fwhm(pos, amplitude, spacing, params)
+        width = _fwhm(pos, amplitude, _peak_spacing(m, params), params)
         peaks.append(
             ResonancePeak(
                 index=m,

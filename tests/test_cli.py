@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from mazer.cli import main
+from mazer.cli import PRESETS, build_parser, main
 
 KL = 1e3 * math.pi
 
@@ -122,6 +122,22 @@ class TestPresetsAndConfig:
         with pytest.raises(SystemExit):
             main(["resonances", "--preset", "fig1a"])
 
+    def test_pump_takes_one_detuning(self):
+        with pytest.raises(SystemExit):
+            main(["pump", "--delta", "0", "0.005"])
+
+    def test_abbreviated_flag_overrides_preset(self, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        base = ["transmission", "--preset", "fig3a", "--points", "11"]
+        assert main(base + ["--coupling", "100", "--out", str(a)]) == 0
+        assert main(base + ["--coupling-length", "100", "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_preset_keys_are_subcommand_destinations(self):
+        for name, preset in PRESETS.items():
+            dests = vars(build_parser().parse_args([preset["command"]]))
+            assert set(preset) - {"command"} <= set(dests), name
+
     def test_config_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
@@ -141,9 +157,45 @@ class TestPresetsAndConfig:
         deltas = {line.split(",")[1] for line in lines[1:]}
         assert deltas == {"0.0030000000000000001", "0.0040000000000000001"}
 
+    def test_scalar_config_value_matches_flag(self, tmp_path):
+        cfg = tmp_path / "r.cfg"
+        cfg.write_text("delta = 0.001\nm-min = 1001\nm-max = 1003\n")
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["resonances", "--config", str(cfg), "--out", str(a)]) == 0
+        assert main([
+            "resonances", "--delta", "0.001", "--m-min", "1001",
+            "--m-max", "1003", "--out", str(b),
+        ]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_boolean_config_value_refines(self, tmp_path):
+        cfg = tmp_path / "r.cfg"
+        cfg.write_text("refine = yes\npoints = 25\nk-min = 0.04\nk-max = 0.05\n")
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["transmission", "--config", str(cfg), "--out", str(a)]) == 0
+        assert len(read_lines(a)) > 26
+        assert main([
+            "transmission", "--refine", "--points", "25", "--k-min", "0.04",
+            "--k-max", "0.05", "--out", str(b),
+        ]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("frobnicate = 1\n")
+        with pytest.raises(SystemExit):
+            main(["transmission", "--config", str(cfg)])
+
+    def test_missing_config_file_rejected(self, tmp_path):
+        with pytest.raises(SystemExit):
+            main(["transmission", "--config", str(tmp_path / "none.cfg")])
+
+    @pytest.mark.parametrize(
+        "line", ["points = abc", "sweep = bogus"], ids=["type", "choices"]
+    )
+    def test_invalid_config_value_rejected(self, tmp_path, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
         with pytest.raises(SystemExit):
             main(["transmission", "--config", str(cfg)])
 
