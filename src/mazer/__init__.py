@@ -10,7 +10,7 @@ from .core import (
     channel_wavenumbers,
     dressed_angle,
 )
-from .scattering import ScatteringResult, scatter, tau_pm
+from .scattering import ScatteringResult, scatter, tau_pm, transmissions
 from .ultracold import (
     ResonancePeak,
     catalog_in_window,
@@ -63,4 +63,5 @@ __all__ = [
     "stationary_distribution",
     "tau_pm",
     "transmission_ultracold",
+    "transmissions",
 ]

@@ -21,7 +21,7 @@ import numpy as np
 from .core import DomainError, SystemParams, _flux_b, _sqrt_upper_c
 from .oracle import ModeFunction, solve
 from .pump import PumpParams, mean_p_em, stationary_distribution
-from .scattering import scatter
+from .scattering import scatter, transmissions
 from .selection import final_distribution, maxwell_boltzmann_initial, refined_grid
 from .ultracold import (
     catalog_in_window,
@@ -144,11 +144,17 @@ def _emit(columns: Sequence[str], rows: Iterable[Sequence], args) -> None:
             out.close()
 
 
+_BOOLEAN_VALUES = {
+    "1": True, "true": True, "yes": True, "0": False, "false": False, "no": False,
+}
+
+
 def _read_config(path: str, sp: argparse.ArgumentParser) -> dict:
     """key = value lines; keys mirror the long flag names (with underscores).
 
     Each value is parsed as the subcommand's own `--key value...` tokens, so
-    the flag's type, nargs and choices apply; boolean flags take 1/true/yes.
+    the flag's type, nargs and choices apply; boolean flags take
+    1/true/yes or 0/false/no.  Every bad line is reported as `path:lineno`.
     """
     known = vars(sp.parse_args([]))
     values: dict = {}
@@ -161,17 +167,33 @@ def _read_config(path: str, sp: argparse.ArgumentParser) -> dict:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        where = f"{path}:{lineno}"
         if "=" not in line:
-            sp.error(f"{path}:{lineno}: expected 'key = value'")
+            sp.error(f"{where}: expected 'key = value'")
         key, _, val = line.partition("=")
         key = key.strip().replace("-", "_")
+        val = val.strip()
         if key not in known:
-            sp.error(f"{path}:{lineno}: unknown config key {key!r}")
+            sp.error(f"{where}: unknown config key {key!r}")
         if isinstance(known[key], bool):
-            values[key] = val.strip().lower() in ("1", "true", "yes")
-        else:
-            flag = "--" + key.replace("_", "-")
-            values[key] = getattr(sp.parse_args([flag, *val.split()]), key)
+            if val.lower() not in _BOOLEAN_VALUES:
+                sp.error(
+                    f"{where}: {key}: expected 1/true/yes or 0/false/no, got {val!r}"
+                )
+            values[key] = _BOOLEAN_VALUES[val.lower()]
+            continue
+        sp.exit_on_error = False  # raise ArgumentError, to prefix `where`
+        try:
+            ns, extra = sp.parse_known_args(
+                ["--" + key.replace("_", "-"), *val.split()]
+            )
+        except argparse.ArgumentError as exc:
+            sp.error(f"{where}: {exc}")
+        finally:
+            sp.exit_on_error = True
+        if extra:
+            sp.error(f"{where}: unrecognized arguments: {' '.join(extra)}")
+        values[key] = getattr(ns, key)
     return values
 
 
@@ -192,21 +214,25 @@ def cmd_transmission(args) -> int:
             grid = _sweep_grid(args.k_min, args.k_max, args.points)
             if args.refine and grid.size:
                 grid = refined_grid(grid, args.k_min, args.k_max, [params])
-            for k in grid:
-                rows.append(_transmission_row(float(k), d, params, args))
+            t_a, t_b = transmissions(grid, params)
+            for k, a, b in zip(grid, t_a, t_b):
+                rows.append(_transmission_row(float(k), d, params, a, b, args))
     else:
+        # the parameters change on every row, so each row is one scalar call
         grid = _sweep_grid(args.delta_min, args.delta_max, args.points)
         for d in grid:
             params = SystemParams(float(d), args.coupling_length, args.photon_number)
-            rows.append(_transmission_row(args.k, float(d), params, args))
+            res = scatter(args.k, params)
+            rows.append(
+                _transmission_row(args.k, float(d), params, res.T_a, res.T_b, args)
+            )
     _emit(columns, rows, args)
     return 0
 
 
-def _transmission_row(k: float, d: float, params: SystemParams, args):
-    res = scatter(k, params)
+def _transmission_row(k: float, d: float, params: SystemParams, t_a, t_b, args):
     uc = transmission_ultracold(k, params)
-    row = [k, d, res.T_a, res.T_b, res.T_total, uc.value, uc.valid]
+    row = [k, d, t_a, t_b, t_a + t_b, uc.value, uc.valid]
     if args.g_hz is not None:
         row.append(d * args.g_hz / TWO_PI)
     return row
@@ -278,10 +304,8 @@ def cmd_select(args) -> int:
     for d in args.delta:
         base, init, _, dist = _photon_state(args, d)
         fin = final_distribution(init, dist, base, jacobian=args.jacobian)
-        pi = init.interpolator()
-        for k, dens in zip(fin.grid, fin.density):
-            v = pi(k)
-            rows.append([d, k, float(v) if np.isfinite(v) else 0.0, dens])
+        for k, pik, dens in zip(fin.grid, init.density_at(fin.grid), fin.density):
+            rows.append([d, k, pik, dens])
     _emit(columns, rows, args)
     return 0
 

@@ -19,6 +19,8 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 
 class DomainError(ValueError):
     """Raised when an argument lies outside the physically meaningful domain."""
@@ -43,11 +45,55 @@ def _sqrt_upper_c(z: complex) -> complex:
     return w
 
 
-def _flux_b(k: float, k_b: complex, t_b: complex) -> float:
+def _sqrt_upper_array(z: np.ndarray) -> np.ndarray:
+    """`_sqrt_upper_c` elementwise."""
+    w = np.sqrt(z)
+    return np.where(w.imag < 0.0, -w, w)
+
+
+def _complex_array(re, im) -> np.ndarray:
+    """re + i im built from its parts, so inf or nan in one part stays there."""
+    out = np.empty(np.broadcast(re, im).shape, dtype=complex)
+    out.real = re
+    out.imag = im
+    return out
+
+
+def _if_else(cond, a, b):
+    return a if cond else b
+
+
+class _ScalarOps:
+    """The operations in which the closed forms' scalar and array evaluations differ.
+
+    Every closed-form function takes `_ScalarOps` or `_ArrayOps` as `ops`;
+    the rest of its arithmetic (+ - * /, abs, .real, .imag, comparisons, &)
+    is written once and works on Python numbers and numpy arrays alike.
+    Class attributes, because they are the cheapest to look up on the
+    scalar path.
+    """
+
+    exp = cmath.exp
+    complex = complex
+    sqrt_upper = staticmethod(_sqrt_upper_c)
+    where = staticmethod(_if_else)
+    isfinite = math.isfinite
+
+
+class _ArrayOps:
+    """`_ScalarOps` elementwise over numpy arrays."""
+
+    exp = np.exp
+    complex = staticmethod(_complex_array)
+    sqrt_upper = staticmethod(_sqrt_upper_array)
+    where = np.where
+    isfinite = np.isfinite
+
+
+def _flux_b(k, k_b, t_b, ops=_ScalarOps):
     """Transmitted flux k_b/k |t_b|^2 into |b,n+1>; 0 unless k_b is real and > 0."""
-    if k_b.real > 0.0 and k_b.imag == 0.0:
-        return (k_b.real / k) * abs(t_b) ** 2
-    return 0.0
+    is_open = (k_b.real > 0.0) & (k_b.imag == 0.0)
+    return ops.where(is_open, (k_b.real / k) * abs(t_b) ** 2, 0.0)
 
 
 def dressed_angle(detuning_ratio: float, photon_number: int) -> float:

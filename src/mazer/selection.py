@@ -9,7 +9,6 @@ at k entered the cavity at k' with k'^2 = k^2 + delta/g.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -18,7 +17,7 @@ from scipy.interpolate import PchipInterpolator
 
 from .core import DomainError, SystemParams
 from .pump import PhotonDistribution
-from .scattering import scatter
+from .scattering import transmissions
 from .ultracold import catalog_in_window
 
 # Populated photon states below this weight contribute nothing visible.
@@ -55,6 +54,11 @@ class VelocityDistribution:
             np.asarray(self.grid), np.asarray(self.density), extrapolate=False
         )
 
+    def density_at(self, k) -> np.ndarray:
+        """The interpolated density at every point of k; 0 outside the grid."""
+        v = self.interpolator()(np.asarray(k, dtype=float))
+        return np.where(np.isfinite(v), v, 0.0)
+
 
 def maxwell_boltzmann_initial(
     k0: float, grid: "np.ndarray | list[float]"
@@ -74,30 +78,45 @@ def maxwell_boltzmann_initial(
     return VelocityDistribution(grid=tuple(g), density=tuple(dens))
 
 
+def _populated_states(
+    dist: PhotonDistribution, params_base: SystemParams
+) -> list[tuple[float, SystemParams]]:
+    """(P(n), parameters at n) of every state with P(n) >= POPULATION_CUTOFF."""
+    return [
+        (
+            weight,
+            SystemParams(params_base.detuning_ratio, params_base.coupling_length, n),
+        )
+        for n, weight in enumerate(dist.probabilities)
+        if weight >= POPULATION_CUTOFF
+    ]
+
+
+def _photon_average(
+    states: list[tuple[float, SystemParams]], k: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """sum_n P(n) (T_a_n(k), T_b_n(k)), accumulated in order of n."""
+    t_a = np.zeros_like(k)
+    t_b = np.zeros_like(k)
+    for weight, params in states:
+        a, b = transmissions(k, params)
+        t_a += weight * a
+        t_b += weight * b
+    return t_a, t_b
+
+
 def beam_transmissions(
-    dist: PhotonDistribution, k: float, params_base: SystemParams
-) -> tuple[float, float]:
-    """Photon-averaged transmissions (T_a(k), T_b(k)).
+    dist: PhotonDistribution, k, params_base: SystemParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """Photon-averaged transmissions (T_a(k), T_b(k)) at every point of the array k.
 
     T_a(k) = sum_n P(n) T_a_n(k) and likewise for T_b, summed to the
-    distribution's truncation.
+    distribution's truncation; one `transmissions` call per photon state.
     """
-    if k <= 0.0:
-        raise DomainError(f"incident wavenumber must be > 0, got {k}")
-    t_a = 0.0
-    t_b = 0.0
-    for n, weight in enumerate(dist.probabilities):
-        if weight < POPULATION_CUTOFF:
-            continue
-        res = scatter(
-            k,
-            SystemParams(
-                params_base.detuning_ratio, params_base.coupling_length, n
-            ),
-        )
-        t_a += weight * res.T_a
-        t_b += weight * res.T_b
-    return t_a, t_b
+    k = np.asarray(k, dtype=float)
+    if np.any(k <= 0.0):
+        raise DomainError(f"incident wavenumbers must be > 0, got {k.min()}")
+    return _photon_average(_populated_states(dist, params_base), k)
 
 
 def refined_grid(
@@ -130,30 +149,24 @@ def final_distribution(
     the dk'/dk = k/k' density factor (the printed formula omits it).
     """
     d = params_base.detuning_ratio
-    populated = [
-        SystemParams(d, params_base.coupling_length, n)
-        for n, weight in enumerate(dist.probabilities)
-        if weight >= POPULATION_CUTOFF
-    ]
-    grid = refined_grid(initial.grid, initial.grid[0], initial.grid[-1], populated)
-    pi = initial.interpolator()
+    states = _populated_states(dist, params_base)
+    grid = refined_grid(
+        initial.grid, initial.grid[0], initial.grid[-1], [p for _, p in states]
+    )
+    incident = grid > 0.0
+    k = grid[incident]
+    t_a, _ = _photon_average(states, k)
+    value = initial.density_at(k) * t_a
+    remapped = np.flatnonzero(k * k > -d)
+    kp = np.sqrt(k[remapped] * k[remapped] + d)
+    pikp = initial.density_at(kp)
+    fed = pikp > 0.0  # T_b is needed only where the initial beam has atoms
+    remapped, kp, pikp = remapped[fed], kp[fed], pikp[fed]
+    _, t_b = _photon_average(states, kp)
+    term = pikp * t_b
+    if jacobian:
+        term *= k[remapped] / kp
+    value[remapped] += term
     out = np.zeros_like(grid)
-    for i, k in enumerate(grid):
-        if k <= 0.0:
-            continue
-        pik = pi(k)
-        pik = float(pik) if np.isfinite(pik) else 0.0
-        t_a, _ = beam_transmissions(dist, k, params_base)
-        value = pik * t_a
-        if k * k > -d:
-            kp = math.sqrt(k * k + d)
-            pikp = pi(kp)
-            pikp = float(pikp) if np.isfinite(pikp) else 0.0
-            if pikp > 0.0:
-                _, t_b = beam_transmissions(dist, kp, params_base)
-                term = pikp * t_b
-                if jacobian:
-                    term *= k / kp
-                value += term
-        out[i] = value
+    out[incident] = value
     return VelocityDistribution(grid=tuple(grid), density=tuple(out))

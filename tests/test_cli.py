@@ -191,13 +191,27 @@ class TestPresetsAndConfig:
             main(["transmission", "--config", str(tmp_path / "none.cfg")])
 
     @pytest.mark.parametrize(
-        "line", ["points = abc", "sweep = bogus"], ids=["type", "choices"]
+        "line",
+        ["points = abc", "sweep = bogus", "refine = ye"],
+        ids=["type", "choices", "boolean"],
     )
-    def test_invalid_config_value_rejected(self, tmp_path, line):
+    def test_invalid_config_value_rejected(self, tmp_path, capsys, line):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text(line + "\n")
+        cfg.write_text("# first line\n" + line + "\n")
         with pytest.raises(SystemExit):
             main(["transmission", "--config", str(cfg)])
+        assert f"mazer transmission: error: {cfg}:2: " in capsys.readouterr().err
+
+    def test_false_boolean_config_value_matches_no_flag(self, tmp_path):
+        cfg = tmp_path / "r.cfg"
+        cfg.write_text("refine = No\npoints = 25\nk-min = 0.04\nk-max = 0.05\n")
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["transmission", "--config", str(cfg), "--out", str(a)]) == 0
+        assert main([
+            "transmission", "--points", "25", "--k-min", "0.04",
+            "--k-max", "0.05", "--out", str(b),
+        ]) == 0
+        assert a.read_bytes() == b.read_bytes()
 
 
 class TestPumpAndSelect:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mazer import scattering
 from mazer.core import DomainError, SystemParams
 from mazer.scattering import (
     DegeneracyError,
@@ -15,10 +16,12 @@ from mazer.scattering import (
     resonance_denominator_scales,
     scatter,
     tau_pm,
+    transmissions,
 )
 from mazer.ultracold import loeffler_resonant
 
 KL = 1e3 * math.pi
+KL200 = 200.0 * math.pi
 PARAMS0 = SystemParams(0.0, KL, 0)
 
 # k at the m-th half-wavelength resonance for delta = 0, n = 0, kappa L = 1e3 pi
@@ -177,3 +180,101 @@ class TestScatter:
         assert -1e-9 <= res.T_a
         assert -1e-9 <= res.T_b
         assert res.T_total <= 1.0 + 1e-9
+
+
+def assert_matches_scatter(ks, params):
+    t_a, t_b = transmissions(np.array(ks), params)
+    for k, a, b in zip(ks, t_a, t_b):
+        res = scatter(k, params)
+        assert abs(a - res.T_a) <= 1e-14
+        assert abs(b - res.T_b) <= 1e-14
+
+
+class TestTransmissions:
+    @given(
+        ks=st.lists(
+            st.floats(min_value=-3.0, max_value=0.0).map(lambda e: 10.0 ** e),
+            min_size=1, max_size=16,
+        ),
+        delta=st.floats(min_value=-500.0, max_value=10.0),
+        n=st.integers(min_value=0, max_value=3),
+        kl=st.floats(min_value=2.0, max_value=4.0).map(lambda e: 10.0 ** e),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_scatter_on_oracle_check_domain(self, ks, delta, n, kl):
+        assert_matches_scatter(ks, SystemParams(delta, kl, n))
+
+    @given(
+        ks=st.lists(
+            st.floats(min_value=1e-4, max_value=0.2), min_size=1, max_size=16
+        ),
+        delta=st.floats(min_value=-0.002, max_value=0.005),
+        n=st.integers(min_value=0, max_value=40),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_scatter_on_fig4_domain(self, ks, delta, n):
+        assert_matches_scatter(ks, SystemParams(delta, KL200, n))
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            SystemParams(0.005, KL, 0),
+            SystemParams(0.005, KL200, 7),
+            SystemParams(5.0, 1000.0, 2),
+        ],
+    )
+    def test_closed_b_channel_gives_exactly_zero(self, params):
+        ks = np.linspace(1e-3, math.sqrt(params.detuning_ratio), 400)[:-1]
+        _, t_b = transmissions(ks, params)
+        assert np.all(t_b == 0.0)
+
+    def test_keeps_shape_and_rejects_nonpositive_k(self):
+        t_a, t_b = transmissions(0.05, PARAMS0)
+        assert t_a.shape == t_b.shape == ()
+        assert t_a == pytest.approx(scatter(0.05, PARAMS0).T_a, abs=1e-14)
+        assert transmissions(np.array([]), PARAMS0)[0].size == 0
+        with pytest.raises(DomainError):
+            transmissions(np.array([0.05, 0.0]), PARAMS0)
+
+    @pytest.mark.parametrize("poison", ["nan_denominator", "zero_k_plus"])
+    def test_untrusted_element_falls_back_alone(self, monkeypatch, poison):
+        # zero_k_plus is the degenerate threshold k+ = 0: dividing by it must
+        # stay inside the kernel's errstate block (RuntimeWarnings are errors)
+        params = SystemParams(0.002, KL200, 2)
+        ks = np.linspace(0.01, 0.15, 7)
+        clean_a, clean_b = transmissions(ks, params)
+        real_inverse = scattering._inverse_denominator
+        real_dressed = scattering._dressed_k
+        real_matching = scattering._scatter_matching
+
+        def nan_denominator(k, p, ops):
+            inv_d, nondegenerate = real_inverse(k, p, ops)
+            inv_d = inv_d.copy()
+            inv_d[3] = np.nan
+            return inv_d, nondegenerate
+
+        def zero_k_plus(sign, k_eval, p, ops):
+            kpm = real_dressed(sign, k_eval, p, ops)
+            if sign == "+":
+                kpm = kpm.copy()
+                kpm[3] = 0.0
+            return kpm
+
+        matched = []
+
+        def matching(k, p):
+            matched.append(k)
+            return real_matching(k, p)
+
+        if poison == "nan_denominator":
+            monkeypatch.setattr(scattering, "_inverse_denominator", nan_denominator)
+        else:
+            monkeypatch.setattr(scattering, "_dressed_k", zero_k_plus)
+        monkeypatch.setattr(scattering, "_scatter_matching", matching)
+        t_a, t_b = transmissions(ks, params)
+        assert matched == [ks[3]]
+        reference = real_matching(float(ks[3]), params)
+        assert (t_a[3], t_b[3]) == (reference.T_a, reference.T_b)
+        others = np.arange(len(ks)) != 3
+        assert np.array_equal(t_a[others], clean_a[others])
+        assert np.array_equal(t_b[others], clean_b[others])

@@ -9,6 +9,7 @@ from mazer.core import DomainError, SystemParams
 from mazer.pump import PhotonDistribution
 from mazer.scattering import scatter
 from mazer.selection import (
+    POPULATION_CUTOFF,
     VelocityDistribution,
     beam_transmissions,
     final_distribution,
@@ -71,6 +72,41 @@ class TestBeamTransmissions:
     def test_nonpositive_k_rejected(self):
         with pytest.raises(DomainError):
             beam_transmissions(VACUUM, 0.0, SystemParams(0.0, KL200, 0))
+
+
+def scalar_final_densities(initial, dist, base, grid):
+    """final_distribution's density on `grid` without and with the Jacobian,
+    point by point on scalar `scatter`."""
+    d = base.detuning_ratio
+    pi = initial.interpolator()
+
+    def density(k):
+        v = float(pi(k))
+        return v if math.isfinite(v) else 0.0
+
+    def averaged(k, channel):
+        total = 0.0
+        for n, weight in enumerate(dist.probabilities):
+            if weight >= POPULATION_CUTOFF:
+                res = scatter(k, SystemParams(d, base.coupling_length, n))
+                total += weight * (res.T_a, res.T_b)[channel]
+        return total
+
+    plain, jacobian = [], []
+    for k in grid:
+        value = value_jac = 0.0
+        if k > 0.0:
+            value = value_jac = density(k) * averaged(k, 0)
+            if k * k > -d:
+                kp = math.sqrt(k * k + d)
+                if density(kp) > 0.0:
+                    term = density(kp) * averaged(kp, 1)
+                    value += term
+                    term *= k / kp
+                    value_jac += term
+        plain.append(value)
+        jacobian.append(value_jac)
+    return plain, jacobian
 
 
 class TestFinalDistribution:
@@ -137,3 +173,16 @@ class TestFinalDistribution:
             dens = np.asarray(fin.density)
             positions.append(fin.grid[int(np.argmax(dens))])
         assert positions[0] < positions[1] < positions[2]
+
+    @pytest.mark.parametrize("delta", [-0.002, 0.0, 0.002])
+    def test_matches_scalar_reference(self, delta):
+        init = initial_beam(201)
+        dist = PhotonDistribution(probabilities=(0.6, 0.3, 0.1))
+        base = SystemParams(delta, KL200, 0)
+        plain = final_distribution(init, dist, base)
+        jac = final_distribution(init, dist, base, jacobian=True)
+        expected = scalar_final_densities(init, dist, base, plain.grid)
+        for fin, want in zip((plain, jac), expected):
+            assert fin.grid == plain.grid
+            for got, ref in zip(fin.density, want):
+                assert abs(got - ref) <= 1e-14 * max(1.0, abs(ref))
