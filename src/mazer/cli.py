@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import DomainError, SystemParams, _flux_b, _sqrt_upper_c
+from .core import DomainError, SystemParams, _channels, _flux_b
 from .oracle import ModeFunction, solve
 from .pump import PumpParams, mean_p_em, stationary_distribution
 from .scattering import scatter, transmissions
@@ -128,10 +128,7 @@ def _emit(columns: Sequence[str], rows: Iterable[Sequence], args) -> None:
             for row in rows:
                 out.write(",".join(_fmt(v) for v in row) + "\n")
         else:
-            payload = [
-                {c: (bool(v) if isinstance(v, bool) else v) for c, v in zip(columns, row)}
-                for row in rows
-            ]
+            payload = [dict(zip(columns, row)) for row in rows]
             json.dump(
                 {"columns": list(columns), "rows": payload},
                 out,
@@ -197,12 +194,6 @@ def _read_config(path: str, sp: argparse.ArgumentParser) -> dict:
     return values
 
 
-def _sweep_grid(lo: float, hi: float, points: int) -> np.ndarray:
-    if points <= 0:
-        return np.array([])
-    return np.linspace(lo, hi, points)
-
-
 def cmd_transmission(args) -> int:
     columns = ["k", "delta", "T_a", "T_b", "T_total", "T_ultracold", "uc_valid"]
     if args.g_hz is not None:
@@ -211,7 +202,7 @@ def cmd_transmission(args) -> int:
     if args.sweep == "k":
         for d in args.delta:
             params = SystemParams(d, args.coupling_length, args.photon_number)
-            grid = _sweep_grid(args.k_min, args.k_max, args.points)
+            grid = np.linspace(args.k_min, args.k_max, args.points)
             if args.refine and grid.size:
                 grid = refined_grid(grid, args.k_min, args.k_max, [params])
             t_a, t_b = transmissions(grid, params)
@@ -219,8 +210,7 @@ def cmd_transmission(args) -> int:
                 rows.append(_transmission_row(float(k), d, params, a, b, args))
     else:
         # the parameters change on every row, so each row is one scalar call
-        grid = _sweep_grid(args.delta_min, args.delta_max, args.points)
-        for d in grid:
+        for d in np.linspace(args.delta_min, args.delta_max, args.points):
             params = SystemParams(float(d), args.coupling_length, args.photon_number)
             res = scatter(args.k, params)
             rows.append(
@@ -263,7 +253,7 @@ def cmd_amplitude(args) -> int:
     if args.g_hz is not None:
         columns.insert(1, "delta_hz")
     rows = []
-    for d in _sweep_grid(args.delta_min, args.delta_max, args.points):
+    for d in np.linspace(args.delta_min, args.delta_max, args.points):
         params = SystemParams(float(d), args.coupling_length, args.photon_number)
         pos = peak_position(args.m, params)
         if pos is None:
@@ -311,6 +301,8 @@ def cmd_select(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
+    if args.samples < 1:
+        raise DomainError(f"--samples must be >= 1, got {args.samples}")
     rng = np.random.default_rng(args.seed)
     columns = [
         "k", "delta", "n", "coupling_length",
@@ -328,7 +320,7 @@ def cmd_oracle_check(args) -> int:
         params = SystemParams(d, kl, n)
         closed = scatter(k, params)
         o = solve(ModeFunction.mesa(kl), k, params)
-        t_b_oracle = _flux_b(k, _sqrt_upper_c(complex(k * k - d)), o.t_b)
+        t_b_oracle = _flux_b(k, _channels(k, params)[0], o.t_b)
         d_ta = abs(closed.T_a - abs(o.t_a) ** 2)
         d_tb = abs(closed.T_b - t_b_oracle)
         flux_err = abs(o.flux_sum - 1.0)
@@ -345,8 +337,10 @@ def cmd_oracle_check(args) -> int:
     return 0
 
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--preset", choices=sorted(PRESETS), help="named figure recipe")
+def _add_common(sp: argparse.ArgumentParser, command: str) -> None:
+    presets = sorted(name for name, p in PRESETS.items() if p["command"] == command)
+    if presets:
+        sp.add_argument("--preset", choices=presets, help="named figure recipe")
     sp.add_argument("--config", help="key = value config file (keys = flag names)")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("--out", help="output path (default: stdout)")
@@ -377,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
             " [, delta_hz]"
         ),
     )
-    _add_common(sp)
+    _add_common(sp, "transmission")
     sp.add_argument("--sweep", choices=("k", "delta"), default="k")
     sp.add_argument("--k", type=float, default=0.05, help="fixed k for delta sweeps")
     sp.add_argument("--k-min", type=float, default=0.002)
@@ -398,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="resonance catalog (positions, amplitudes, FWHM)",
         description="Columns: m, position, amplitude, width, refined [, width_hz]",
     )
-    _add_common(sp)
+    _add_common(sp, "resonances")
     sp.add_argument("--delta", type=float, default=0.0)
     sp.add_argument("--coupling-length", type=float, default=1e3 * math.pi)
     sp.add_argument("--photon-number", type=int, default=0)
@@ -414,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="amplitude of one resonance vs detuning",
         description="Columns: delta [, delta_hz], m, position, amplitude",
     )
-    _add_common(sp)
+    _add_common(sp, "amplitude")
     sp.add_argument("--m", type=int, default=1001)
     sp.add_argument("--delta-min", type=float, default=-0.01)
     sp.add_argument("--delta-max", type=float, default=0.01)
@@ -435,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
                 else "Columns: delta, k, initial_density, final_density"
             ),
         )
-        _add_common(sp)
+        _add_common(sp, name)
         if name == "pump":
             sp.add_argument("--delta", type=float, default=0.0)
         else:
@@ -462,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
             "flux_error.  Exits nonzero if any deviation exceeds the tolerance."
         ),
     )
-    _add_common(sp)
+    _add_common(sp, "oracle-check")
     sp.add_argument("--samples", type=int, default=1000)
     sp.add_argument("--seed", type=int, default=20040217)
     sp.add_argument("--tolerance", type=float, default=1e-9)
@@ -481,19 +475,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.preset is not None or args.config is not None:
+    preset = getattr(args, "preset", None)
+    if preset is not None or args.config is not None:
         # preset and config values become the subcommand's defaults, so a
         # second parse keeps every flag given explicitly, abbreviated or not
         sp = args.subparser
-        if args.preset is not None:
-            preset = dict(PRESETS[args.preset])
-            if preset.pop("command") != args.command:
-                sp.error(f"preset {args.preset!r} belongs to another subcommand")
-            sp.set_defaults(**preset)
+        if preset is not None:
+            sp.set_defaults(**PRESETS[preset])  # its "command" is this subcommand
         if args.config is not None:
             sp.set_defaults(**_read_config(args.config, sp))
         args = parser.parse_args(argv)
     try:
+        if args.g_hz is not None and not (args.g_hz > 0.0 and math.isfinite(args.g_hz)):
+            raise DomainError(f"--g-hz must be finite and > 0, got {args.g_hz}")
         return args.func(args)
     except (DomainError, OSError, ValueError, ArithmeticError, RuntimeError) as exc:
         print(f"mazer: error: {exc}", file=sys.stderr)

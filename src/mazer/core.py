@@ -26,17 +26,6 @@ class DomainError(ValueError):
     """Raised when an argument lies outside the physically meaningful domain."""
 
 
-def _sqrt_upper(x: float) -> complex:
-    """Principal square root with the Im >= 0 branch for real radicands.
-
-    Positive radicands give the positive real root; negative ones give a
-    positive imaginary root, so evanescent waves exp(i k z) decay.
-    """
-    if x >= 0.0:
-        return complex(math.sqrt(x), 0.0)
-    return complex(0.0, math.sqrt(-x))
-
-
 def _sqrt_upper_c(z: complex) -> complex:
     """Principal square root flipped onto the Im >= 0 half plane."""
     w = cmath.sqrt(z)
@@ -90,10 +79,33 @@ class _ArrayOps:
     isfinite = np.isfinite
 
 
+def _dressed_shifts(params: SystemParams) -> tuple[float, float]:
+    """(k^2 - k_plus^2, k_minus^2 - k^2) = kappa_n^2 (tan theta_n, cot theta_n)."""
+    s = math.sqrt(params.photon_number + 1.0)  # kappa_n^2 in kappa^2 units
+    return s * params.tan_theta, s * params.cot_theta
+
+
+def _channels(k, params: SystemParams, ops=_ScalarOps):
+    """(k_b, k_minus, k_plus) at incident k, each on the Im >= 0 branch.
+
+    The one place the channel wavenumbers of `ChannelWavenumbers` are computed.
+    """
+    shift_plus, shift_minus = _dressed_shifts(params)
+    return (
+        ops.sqrt_upper(ops.complex(k * k - params.detuning_ratio, 0.0)),
+        ops.sqrt_upper(ops.complex(k * k + shift_minus, 0.0)),
+        ops.sqrt_upper(ops.complex(k * k - shift_plus, 0.0)),
+    )
+
+
+def _is_open(k_b):
+    """Whether channel b propagates: k_b real and > 0 (elementwise on arrays)."""
+    return (k_b.real > 0.0) & (k_b.imag == 0.0)
+
+
 def _flux_b(k, k_b, t_b, ops=_ScalarOps):
-    """Transmitted flux k_b/k |t_b|^2 into |b,n+1>; 0 unless k_b is real and > 0."""
-    is_open = (k_b.real > 0.0) & (k_b.imag == 0.0)
-    return ops.where(is_open, (k_b.real / k) * abs(t_b) ** 2, 0.0)
+    """Transmitted flux k_b/k |t_b|^2 into |b,n+1>; 0 unless channel b is open."""
+    return ops.where(_is_open(k_b), (k_b.real / k) * abs(t_b) ** 2, 0.0)
 
 
 def dressed_angle(detuning_ratio: float, photon_number: int) -> float:
@@ -124,9 +136,13 @@ class SystemParams:
     photon_number: int
 
     def __post_init__(self) -> None:
-        if self.coupling_length <= 0.0:
+        if not math.isfinite(self.detuning_ratio):
             raise DomainError(
-                f"coupling_length must be > 0, got {self.coupling_length}"
+                f"detuning_ratio must be finite, got {self.detuning_ratio}"
+            )
+        if not (self.coupling_length > 0.0 and math.isfinite(self.coupling_length)):
+            raise DomainError(
+                f"coupling_length must be finite and > 0, got {self.coupling_length}"
             )
         if self.photon_number < 0:
             raise DomainError(
@@ -175,16 +191,13 @@ class ChannelWavenumbers:
 
 def channel_wavenumbers(k: float, params: SystemParams) -> ChannelWavenumbers:
     """All channel wavenumbers for incident wavenumber k (units of kappa)."""
-    if k <= 0.0:
+    if not k > 0.0:
         raise DomainError(f"incident wavenumber must be > 0, got {k}")
-    s = math.sqrt(params.photon_number + 1.0)  # kappa_n^2 in kappa^2 units
-    kb2 = k * k - params.detuning_ratio
-    kp2 = k * k - s * params.tan_theta
-    km2 = k * k + s * params.cot_theta
+    k_b, k_minus, k_plus = _channels(k, params)
     return ChannelWavenumbers(
         k=k,
-        k_b=_sqrt_upper(kb2),
-        k_plus=_sqrt_upper(kp2),
-        k_minus=math.sqrt(km2),
-        b_channel_open=kb2 > 0.0,
+        k_b=k_b,
+        k_plus=k_plus,
+        k_minus=k_minus.real,
+        b_channel_open=_is_open(k_b),
     )

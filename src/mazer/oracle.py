@@ -21,10 +21,21 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DomainError, SystemParams, _sqrt_upper
+from .core import DomainError, SystemParams
 
 # Boundary systems worse conditioned than this are reported as failures.
 CONDITION_LIMIT = 1e13
+
+
+def _sqrt_upper(x: float) -> complex:
+    """Principal square root with the Im >= 0 branch for real radicands.
+
+    Positive radicands give the positive real root; negative ones give a
+    positive imaginary root, so evanescent waves exp(i k z) decay.
+    """
+    if x >= 0.0:
+        return complex(math.sqrt(x), 0.0)
+    return complex(0.0, math.sqrt(-x))
 
 
 class OracleSolveError(RuntimeError):
@@ -100,7 +111,7 @@ def solve(mode: ModeFunction, k: float, params: SystemParams) -> SMatrixResult:
     exponentials anchored at the segment edges, so evanescent factors never
     exceed unity and the system stays well conditioned for long cavities.
     """
-    if k <= 0.0:
+    if not k > 0.0:
         raise DomainError(f"incident wavenumber must be > 0, got {k}")
     s = math.sqrt(params.photon_number + 1.0)
     kb = _sqrt_upper(k * k - params.detuning_ratio)

@@ -13,10 +13,9 @@ from typing import TYPE_CHECKING, Callable, Literal
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.interpolate import PchipInterpolator
 
-from .core import DomainError, SystemParams
-from .scattering import inverse_denominator, scatter
+from .core import DomainError, SystemParams, _channels, _is_open
+from .scattering import _scalar_inverse_denominator, scatter
 from .ultracold import catalog_in_window
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -78,20 +77,19 @@ def p_em_ultracold(k: float, params: SystemParams) -> float:
     leading ultracold order), which keeps the expression in phase with the
     exact resonances.
     """
-    if k <= 0.0:
+    if not k > 0.0:
         raise DomainError(f"incident wavenumber must be > 0, got {k}")
-    kb2 = k * k - params.detuning_ratio
-    if kb2 <= 0.0:
+    channels = _channels(k, params)
+    k_b, k_minus, _ = channels
+    if not _is_open(k_b):
         return 0.0
     cot = params.cot_theta
-    s = math.sqrt(params.photon_number + 1.0)
-    km = math.sqrt(k * k + s * cot)
-    phase = km * params.coupling_length
+    phase = k_minus.real * params.coupling_length
     kn = params.kappa_n
-    i_of_l = abs(inverse_denominator(k, params)) ** 2
+    i_of_l = abs(_scalar_inverse_denominator(k, params, channels)) ** 2
     num = 1.0 + 0.5 * cot * math.sin(2.0 * phase)
     den = 1.0 + (kn / (2.0 * k)) ** 2 * cot * math.sin(phase) ** 2
-    value = (math.sqrt(kb2) / k) * 0.5 * i_of_l * num / den
+    value = (k_b.real / k) * 0.5 * i_of_l * num / den
     if value < 0.0:
         # floating-point undershoot of the interference numerator
         value = 0.0
@@ -121,9 +119,7 @@ def mean_p_em(
     the transmission peaks are orders of magnitude narrower than the beam
     distribution and plain adaptive quadrature walks straight over them.
     """
-    grid = np.asarray(initial.grid, dtype=float)
-    dens = np.asarray(initial.density, dtype=float)
-    norm = np.trapezoid(dens, grid)
+    norm = initial.integral()
     if abs(norm - 1.0) > 1e-6:
         raise DomainError(
             f"initial velocity distribution must be normalized, integral={norm}"
@@ -132,7 +128,7 @@ def mean_p_em(
         params_base.detuning_ratio, params_base.coupling_length, n
     )
     p_em = _emission_kernel(params, kernel)
-    pi = PchipInterpolator(grid, dens, extrapolate=False)
+    pi = initial.interpolator()
 
     def integrand(k: float) -> float:
         if k <= 0.0:
@@ -142,8 +138,8 @@ def mean_p_em(
             return 0.0
         return float(w) * p_em(k)
 
-    lo = max(float(grid[0]), 1e-12)
-    hi = float(grid[-1])
+    lo = max(float(initial.grid[0]), 1e-12)
+    hi = float(initial.grid[-1])
     points = []
     for peak in catalog_in_window(params, hi, lo):
         points.append(peak.position)

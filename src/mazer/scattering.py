@@ -21,22 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    DomainError,
-    SystemParams,
-    _ArrayOps,
-    _flux_b,
-    _ScalarOps,
-    _sqrt_upper_c,
-)
+from .core import DomainError, SystemParams, _ArrayOps, _channels, _flux_b, _ScalarOps
 
 # Beyond this evanescent phase the transmission through the barrier-like
 # dressed channel underflows double precision; tau is then exactly 0.
 EVANESCENT_CUTOFF = 700.0
-
-# Cleared numerator/denominator pairs both smaller than this (relative to
-# the local wavenumber scale) are treated as a genuine degeneracy.
-DEGENERACY_EPS = 1e-300
 
 # `transmissions` evaluates this many points at a time, which bounds the
 # memory held by its temporaries.
@@ -66,20 +55,6 @@ def _scaled_trig(z: complex, ops=_ScalarOps) -> tuple[complex, complex]:
     return (ep + em) / 2.0, (ep - em) / 2j
 
 
-def _dressed_k(
-    sign: str, k_eval: complex, params: SystemParams, ops=_ScalarOps
-) -> complex:
-    """k+/- derived from the evaluation wavenumber (Im >= 0 branch)."""
-    s = math.sqrt(params.photon_number + 1.0)
-    if sign == "+":
-        rad = k_eval * k_eval - s * params.tan_theta
-    elif sign == "-":
-        rad = k_eval * k_eval + s * params.cot_theta
-    else:
-        raise ValueError(f"sign must be '+' or '-', got {sign!r}")
-    return ops.sqrt_upper(rad)
-
-
 def _bracket(
     kpm: complex, sigma: complex, length: float, ops=_ScalarOps
 ) -> tuple[complex, float]:
@@ -92,40 +67,51 @@ def _bracket(
     return c - 1j * sigma * s, abs((kpm * length).imag)
 
 
-def tau_pm(sign: str, k_eval: complex, params: SystemParams) -> complex:
-    """Single dressed-channel transmission amplitude tau+/-.
+def _sigma(kpm: complex, k_eval: complex) -> complex:
+    """Symmetrized impedance Sigma = (kpm/k_eval + k_eval/kpm)/2."""
+    return 0.5 * (kpm / k_eval + k_eval / kpm)
 
-    The dressed wavenumber k+/- and the symmetrized impedance
-    Sigma = (k_pm/k + k/k_pm)/2 are both derived from k_eval.  For
-    imaginary k+ the trigonometric factors turn hyperbolic automatically;
-    past the underflow cutoff the amplitude is exactly 0.
+
+def _tau(kpm: complex, k_eval: float, length: float) -> complex:
+    """Single-channel amplitude tau = 1 / (cos(kpm L) - i Sigma sin(kpm L)).
+
+    For imaginary kpm the trigonometric factors turn hyperbolic
+    automatically; past the underflow cutoff the amplitude is exactly 0.
     """
-    if k_eval == 0:
-        raise DomainError("tau_pm requires a nonzero evaluation wavenumber")
-    kpm = _dressed_k(sign, complex(k_eval), params)
-    if kpm == 0:
-        raise DegeneracyError(
-            f"degenerate threshold k{sign}_n = 0 at k_eval={k_eval}"
-        )
-    sigma = 0.5 * (kpm / k_eval + k_eval / kpm)
-    b, ls = _bracket(kpm, sigma, params.coupling_length)
+    b, ls = _bracket(kpm, _sigma(kpm, k_eval), length)
     if ls > EVANESCENT_CUTOFF:
         return 0.0 + 0.0j
     return cmath.exp(-ls) / b
 
 
+def tau_pm(sign: str, k_eval: float, params: SystemParams) -> complex:
+    """Single dressed-channel transmission amplitude tau+/- at k_eval.
+
+    The dressed wavenumber k+/- and the impedance factor are both derived
+    from k_eval.
+    """
+    if sign not in ("+", "-"):
+        raise ValueError(f"sign must be '+' or '-', got {sign!r}")
+    if not abs(k_eval) > 0.0:
+        raise DomainError(f"tau_pm needs a nonzero evaluation wavenumber, got {k_eval}")
+    _, k_minus, k_plus = _channels(k_eval, params)
+    kpm = k_plus if sign == "+" else k_minus
+    if kpm == 0:
+        raise DegeneracyError(
+            f"degenerate threshold k{sign}_n = 0 at k_eval={k_eval}"
+        )
+    return _tau(kpm, k_eval, params.coupling_length)
+
+
 def _denominator_pieces(
-    k: float, params: SystemParams, ops=_ScalarOps
+    k: float, channels, length: float, ops=_ScalarOps
 ) -> tuple[complex, complex, complex, complex]:
     """Cleared-fraction pieces (Pc, Qc, Pt, Qt), all scaled by e^{-lsm-lsp}.
 
     k^c_n = i Pc/Qc and k^t_n = i Pt/Qt; the common scale cancels in every
-    ratio the amplitudes need.
+    ratio the amplitudes need.  `channels` is `_channels(k, params, ops)`.
     """
-    length = params.coupling_length
-    kb = ops.sqrt_upper(ops.complex(k * k - params.detuning_ratio, 0.0))
-    km = _dressed_k("-", ops.complex(k, 0.0), params, ops)
-    kp = _dressed_k("+", ops.complex(k, 0.0), params, ops)
+    kb, km, kp = channels
     cm, sm = _scaled_trig(km * length / 2.0, ops)
     cp, sp = _scaled_trig(kp * length / 2.0, ops)
     p_c = (k * sm + 1j * cm * km) * (kb * sp + 1j * cp * kp)
@@ -135,26 +121,14 @@ def _denominator_pieces(
     return p_c, q_c, p_t, q_t
 
 
-def resonance_denominator_scales(
-    k: float, params: SystemParams
-) -> tuple[complex, complex]:
-    """Characteristic scales (k^c_n, k^t_n) of the shared denominator."""
-    if k <= 0.0:
-        raise DomainError(f"incident wavenumber must be > 0, got {k}")
-    p_c, q_c, p_t, q_t = _denominator_pieces(k, params)
-    scale = max(abs(k), 1.0)
-    for p, q, name in ((p_c, q_c, "k^c"), (p_t, q_t, "k^t")):
-        if abs(p) < DEGENERACY_EPS * scale and abs(q) < DEGENERACY_EPS * scale:
-            raise DegeneracyError(f"degenerate {name} expression at k={k}")
-    return 1j * p_c / q_c, 1j * p_t / q_t
+def _inverse_denominator(k: float, params: SystemParams, channels, ops=_ScalarOps):
+    """(1/D, nondegenerate): `inverse_denominator`, nan where it is degenerate.
 
-
-def _inverse_denominator(k: float, params: SystemParams, ops=_ScalarOps):
-    """(1/D, nondegenerate): `inverse_denominator`, nan where it is degenerate."""
-    p_c, q_c, p_t, q_t = _denominator_pieces(k, params, ops)
-    kb = ops.sqrt_upper(ops.complex(k * k - params.detuning_ratio, 0.0))
+    `channels` is `_channels(k, params, ops)`, with the raw k_b.
+    """
+    p_c, q_c, p_t, q_t = _denominator_pieces(k, channels, params.coupling_length, ops)
     cos2 = math.cos(params.theta) ** 2
-    w = cos2 * (k - kb)
+    w = cos2 * (k - channels[0])
     n_c = w * q_c - 1j * p_c
     n_t = w * q_t - 1j * p_t
     nondegenerate = (n_c != 0) & (n_t != 0)
@@ -168,7 +142,14 @@ def inverse_denominator(k: float, params: SystemParams) -> complex:
     Evaluated with fractions cleared so the cot/tan poles of k^c and k^t
     cancel exactly instead of producing inf/inf artifacts.
     """
-    inv_d, nondegenerate = _inverse_denominator(k, params)
+    if not k > 0.0:
+        raise DomainError(f"incident wavenumber must be > 0, got {k}")
+    return _scalar_inverse_denominator(k, params, _channels(k, params))
+
+
+def _scalar_inverse_denominator(k: float, params: SystemParams, channels) -> complex:
+    """`inverse_denominator` from the caller's `_channels(k, params)`."""
+    inv_d, nondegenerate = _inverse_denominator(k, params, channels)
     if not nondegenerate:
         raise DegeneracyError(f"degenerate resonance denominator at k={k}")
     return inv_d
@@ -182,31 +163,26 @@ def _scatter_closed_form(k: float, params: SystemParams, ops=_ScalarOps):
     """
     length = params.coupling_length
     theta = params.theta
-    kb = ops.sqrt_upper(ops.complex(k * k - params.detuning_ratio, 0.0))
-    # exact two-channel threshold; take the open-side limit
-    kb = ops.where(kb == 0, ops.complex(1e-12 * k, 0.0), kb)
-    cos2 = math.cos(theta) ** 2
-    sin2 = math.sin(theta) ** 2
-
     # The dressed wavenumbers are fixed by the incident energy; evaluating
     # tau at k_b only changes the impedance factor Sigma.  (Re-deriving
     # k+/- from k_b breaks agreement with the boundary-matching solution.)
-    km_k = _dressed_k("-", ops.complex(k, 0.0), params, ops)
-    kp_k = _dressed_k("+", ops.complex(k, 0.0), params, ops)
-
-    def sig(kpm: complex, karg: complex) -> complex:
-        return 0.5 * (kpm / karg + karg / kpm)
+    channels = _channels(k, params, ops)
+    kb_raw, km_k, kp_k = channels
+    # exact two-channel threshold; the amplitudes take the open-side limit
+    kb = ops.where(kb_raw == 0, ops.complex(1e-12 * k, 0.0), kb_raw)
+    cos2 = math.cos(theta) ** 2
+    sin2 = math.sin(theta) ** 2
 
     def sig_tilde(kpm: complex) -> complex:
         return kpm / (k + kb) + (kb / (k + kb)) * (k / kpm)
 
-    bm_k, ls_m_k = _bracket(km_k, sig(km_k, k), length, ops)
-    bp_b, ls_p_b = _bracket(kp_k, sig(kp_k, kb), length, ops)
-    bm_b, ls_m_b = _bracket(km_k, sig(km_k, kb), length, ops)
+    bm_k, ls_m_k = _bracket(km_k, _sigma(km_k, k), length, ops)
+    bp_b, ls_p_b = _bracket(kp_k, _sigma(kp_k, kb), length, ops)
+    bm_b, ls_m_b = _bracket(km_k, _sigma(km_k, kb), length, ops)
     btm, ls_tm = _bracket(km_k, sig_tilde(km_k), length, ops)
     btp, ls_tp = _bracket(kp_k, sig_tilde(kp_k), length, ops)
 
-    inv_d, nondegenerate = _inverse_denominator(k, params, ops)
+    inv_d, nondegenerate = _inverse_denominator(k, params, channels, ops)
 
     # tau_minus(k) = e^{-ls_m_k} / bm_k  (k_minus is real, ls_m_k = 0)
     tau_m_k = ops.exp(-ls_m_k) / bm_k
@@ -250,9 +226,8 @@ def _scatter_matching(k: float, params: SystemParams) -> ScatteringResult:
     from .oracle import ModeFunction, solve
 
     res = solve(ModeFunction.mesa(params.coupling_length), k, params)
-    kb = _sqrt_upper_c(complex(k * k - params.detuning_ratio))
     T_a = abs(res.t_a) ** 2
-    T_b = _flux_b(k, kb, res.t_b)
+    T_b = _flux_b(k, _channels(k, params)[0], res.t_b)
     if not (math.isfinite(T_a) and math.isfinite(T_b)):
         raise ArithmeticError(f"scattering solve failed at k={k}, params={params}")
     return ScatteringResult(
@@ -271,7 +246,7 @@ def scatter(k: float, params: SystemParams) -> ScatteringResult:
     produce non-finite values, falls back to the equivalent direct
     boundary-matching linear solve.
     """
-    if k <= 0.0:
+    if not k > 0.0:
         raise DomainError(f"incident wavenumber must be > 0, got {k}")
     try:
         tau_a, tau_b, T_a, T_b, trusted = _scatter_closed_form(k, params)
@@ -294,7 +269,7 @@ def transmissions(k, params: SystemParams) -> tuple[np.ndarray, np.ndarray]:
     Python's.
     """
     k = np.asarray(k, dtype=float)
-    if np.any(k <= 0.0):
+    if not np.all(k > 0.0):
         raise DomainError(f"incident wavenumbers must be > 0, got {k.min()}")
     flat = k.ravel()
     t_a = np.empty_like(flat)

@@ -10,6 +10,7 @@ at k entered the cavity at k' with k'^2 = k^2 + delta/g.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -49,10 +50,15 @@ class VelocityDistribution:
     def integral(self) -> float:
         return float(np.trapezoid(np.asarray(self.density), np.asarray(self.grid)))
 
-    def interpolator(self) -> PchipInterpolator:
+    @cached_property
+    def _pchip(self) -> PchipInterpolator:
         return PchipInterpolator(
             np.asarray(self.grid), np.asarray(self.density), extrapolate=False
         )
+
+    def interpolator(self) -> PchipInterpolator:
+        """PCHIP through the samples, nan outside the grid; built once."""
+        return self._pchip
 
     def density_at(self, k) -> np.ndarray:
         """The interpolated density at every point of k; 0 outside the grid."""
@@ -92,19 +98,6 @@ def _populated_states(
     ]
 
 
-def _photon_average(
-    states: list[tuple[float, SystemParams]], k: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """sum_n P(n) (T_a_n(k), T_b_n(k)), accumulated in order of n."""
-    t_a = np.zeros_like(k)
-    t_b = np.zeros_like(k)
-    for weight, params in states:
-        a, b = transmissions(k, params)
-        t_a += weight * a
-        t_b += weight * b
-    return t_a, t_b
-
-
 def beam_transmissions(
     dist: PhotonDistribution, k, params_base: SystemParams
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -114,9 +107,15 @@ def beam_transmissions(
     distribution's truncation; one `transmissions` call per photon state.
     """
     k = np.asarray(k, dtype=float)
-    if np.any(k <= 0.0):
+    if not np.all(k > 0.0):
         raise DomainError(f"incident wavenumbers must be > 0, got {k.min()}")
-    return _photon_average(_populated_states(dist, params_base), k)
+    t_a = np.zeros_like(k)
+    t_b = np.zeros_like(k)
+    for weight, params in _populated_states(dist, params_base):
+        a, b = transmissions(k, params)
+        t_a += weight * a
+        t_b += weight * b
+    return t_a, t_b
 
 
 def refined_grid(
@@ -149,20 +148,18 @@ def final_distribution(
     the dk'/dk = k/k' density factor (the printed formula omits it).
     """
     d = params_base.detuning_ratio
-    states = _populated_states(dist, params_base)
-    grid = refined_grid(
-        initial.grid, initial.grid[0], initial.grid[-1], [p for _, p in states]
-    )
+    params = [p for _, p in _populated_states(dist, params_base)]
+    grid = refined_grid(initial.grid, initial.grid[0], initial.grid[-1], params)
     incident = grid > 0.0
     k = grid[incident]
-    t_a, _ = _photon_average(states, k)
+    t_a, _ = beam_transmissions(dist, k, params_base)
     value = initial.density_at(k) * t_a
     remapped = np.flatnonzero(k * k > -d)
     kp = np.sqrt(k[remapped] * k[remapped] + d)
     pikp = initial.density_at(kp)
     fed = pikp > 0.0  # T_b is needed only where the initial beam has atoms
     remapped, kp, pikp = remapped[fed], kp[fed], pikp[fed]
-    _, t_b = _photon_average(states, kp)
+    _, t_b = beam_transmissions(dist, kp, params_base)
     term = pikp * t_b
     if jacobian:
         term *= k[remapped] / kp

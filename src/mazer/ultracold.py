@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 from scipy.optimize import brentq, minimize_scalar
 
-from .core import DomainError, SystemParams
-from .scattering import inverse_denominator, tau_pm
+from .core import DomainError, SystemParams, _channels, _dressed_shifts, _is_open
+from .scattering import _scalar_inverse_denominator, _tau, tau_pm
 
 # Operationalization of the paper-regime conditions "k << kappa_n sqrt(tan)"
 # and "exp(kappa_n L) >> 1"; reported as flags, never enforced.
@@ -50,21 +49,24 @@ def ultracold_valid(k: float, params: SystemParams) -> bool:
     )
 
 
+def _branching(kb_ratio: float, params: SystemParams) -> float:
+    """f(theta_n) = sin^2 (sin^2 + (k_b/k) cos^2), given k_b/k (0 when b is closed)."""
+    sin2 = math.sin(params.theta) ** 2
+    return sin2 * (sin2 + kb_ratio * math.cos(params.theta) ** 2)
+
+
 def transmission_factors(
     k: float, params: SystemParams
 ) -> tuple[float, float, float]:
     """The three factors (f(theta), I(L), |tau_minus(k)|^2)."""
-    if k <= 0.0:
+    if not k > 0.0:
         raise DomainError(f"incident wavenumber must be > 0, got {k}")
-    theta = params.theta
-    sin2 = math.sin(theta) ** 2
-    kb2 = k * k - params.detuning_ratio
-    if kb2 > 0.0:
-        f = sin2 * (sin2 + (math.sqrt(kb2) / k) * math.cos(theta) ** 2)
-    else:
-        f = sin2 * sin2
-    i_of_l = abs(inverse_denominator(k, params)) ** 2
-    tau2 = abs(tau_pm("-", k, params)) ** 2
+    channels = _channels(k, params)
+    k_b, k_minus, _ = channels
+    # k_b.real is exactly 0 for a closed channel
+    f = _branching(k_b.real / k, params)
+    i_of_l = abs(_scalar_inverse_denominator(k, params, channels)) ** 2
+    tau2 = abs(_tau(k_minus, k, params.coupling_length)) ** 2
     return f, i_of_l, tau2
 
 
@@ -80,7 +82,7 @@ def loeffler_resonant(
     k: float, coupling_length: float, photon_number: int
 ) -> float:
     """Resonant (delta = 0) transmission T = |tau_minus(k)|^2 / 2."""
-    if k <= 0.0:
+    if not k > 0.0:
         raise DomainError(f"incident wavenumber must be > 0, got {k}")
     params = SystemParams(0.0, coupling_length, photon_number)
     return 0.5 * abs(tau_pm("-", k, params)) ** 2
@@ -91,7 +93,7 @@ def hot_cold_boundary(k: float, photon_number: int) -> float:
 
     Given by -delta/g = (n+1) (kappa/k)^2; returns the (negative) delta/g.
     """
-    if k <= 0.0:
+    if not k > 0.0:
         raise DomainError(f"incident wavenumber must be > 0, got {k}")
     if photon_number < 0:
         raise DomainError(f"photon_number must be >= 0, got {photon_number}")
@@ -100,23 +102,18 @@ def hot_cold_boundary(k: float, photon_number: int) -> float:
 
 def resonance_amplitude(peak_position: float, params: SystemParams) -> float:
     """Peak amplitude A_m ~ 4 f(theta) / (1 + k_b/k)^2, or 1 when b is closed."""
-    if peak_position <= 0.0:
+    if not peak_position > 0.0:
         raise DomainError(f"peak position must be > 0, got {peak_position}")
-    k = peak_position
-    kb2 = k * k - params.detuning_ratio
-    if kb2 <= 0.0:
+    k_b = _channels(peak_position, params)[0]
+    if not _is_open(k_b):
         return 1.0
-    theta = params.theta
-    sin2 = math.sin(theta) ** 2
-    ratio = math.sqrt(kb2) / k
-    f = sin2 * (sin2 + ratio * math.cos(theta) ** 2)
-    return 4.0 * f / (1.0 + ratio) ** 2
+    ratio = k_b.real / peak_position
+    return 4.0 * _branching(ratio, params) / (1.0 + ratio) ** 2
 
 
 def analytic_position(m: int, params: SystemParams) -> float | None:
     """Eq.-(21)-style position sqrt((m pi / kL)^2 - sqrt(n+1) cot theta)."""
-    s = math.sqrt(params.photon_number + 1.0)
-    rad = (m * math.pi / params.coupling_length) ** 2 - s * params.cot_theta
+    rad = (m * math.pi / params.coupling_length) ** 2 - _dressed_shifts(params)[1]
     if rad <= 0.0:
         return None
     return math.sqrt(rad)
@@ -151,7 +148,7 @@ def _locate_peak(m: int, params: SystemParams) -> tuple[float, bool] | None:
     pos = analytic_position(m, params)
     if pos is None:
         return None
-    if pos * pos > params.detuning_ratio:
+    if _is_open(_channels(pos, params)[0]):
         return pos, False
     return _refine_peak(pos, _peak_spacing(m, params), params), True
 
@@ -192,21 +189,18 @@ def _fwhm(
 
 
 def resonance_positions(
-    params: SystemParams, m_range: Iterable[int] | tuple[int, int]
+    params: SystemParams, m_range: tuple[int, int]
 ) -> list[ResonancePeak]:
-    """Catalog of resonance peaks for the given resonance indices.
+    """Catalog of resonance peaks m_min <= m <= m_max, for m_range = (m_min, m_max).
 
     Open-channel peaks use the analytic half-wavelength position; peaks in
     the closed-b-channel region are numerically refined by local
     maximization of the ultracold transmission (refined = True).  Indices
     whose radicand is not positive yield no peak.
     """
-    if isinstance(m_range, tuple) and len(m_range) == 2:
-        ms: Iterable[int] = range(m_range[0], m_range[1] + 1)
-    else:
-        ms = m_range
+    m_min, m_max = m_range
     peaks: list[ResonancePeak] = []
-    for m in ms:
+    for m in range(m_min, m_max + 1):
         if m < 1:
             raise DomainError(f"resonance index must be >= 1, got {m}")
         located = _locate_peak(m, params)
@@ -231,8 +225,7 @@ def catalog_in_window(
     params: SystemParams, k_max: float, k_min: float = 0.0
 ) -> list[ResonancePeak]:
     """All resonance peaks with positions in (k_min, k_max]."""
-    s = math.sqrt(params.photon_number + 1.0)
-    base = s * params.cot_theta
+    base = _dressed_shifts(params)[1]
     scale = params.coupling_length / math.pi
     m_lo = max(1, math.floor(math.sqrt(max(base + k_min * k_min, 0.0)) * scale))
     m_hi = math.ceil(math.sqrt(base + k_max * k_max) * scale) + 1

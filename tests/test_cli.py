@@ -122,6 +122,12 @@ class TestPresetsAndConfig:
         with pytest.raises(SystemExit):
             main(["resonances", "--preset", "fig1a"])
 
+    def test_preset_choices_are_the_subcommands_own(self):
+        for command, preset in (("transmission", "fig2"), ("amplitude", "fig1a"),
+                                ("select", "fig3a"), ("pump", "fig4a")):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([command, "--preset", preset])
+
     def test_pump_takes_one_detuning(self):
         with pytest.raises(SystemExit):
             main(["pump", "--delta", "0", "0.005"])
@@ -271,3 +277,20 @@ class TestOracleCheckAndErrors:
         ])
         assert rc == 1
         assert "error" in capsys.readouterr().err
+        for argv in (
+            ["transmission", "--coupling-length", "inf", "--points", "3"],
+            ["transmission", "--coupling-length", "nan", "--points", "3"],
+            ["resonances", "--coupling-length", "inf"],
+            ["transmission", "--delta", "inf", "--points", "3"],
+            ["transmission", "--g-hz", "nan", "--points", "3"],
+            ["transmission", "--g-hz=-1e5", "--points", "3"],
+            ["transmission", "--sweep", "delta", "--k", "nan", "--points", "3"],
+            ["transmission", "--points", "-1"],
+            ["amplitude", "--points", "-1"],
+            # no samples would pass the tolerance gate vacuously
+            ["oracle-check", "--samples", "0"],
+            ["oracle-check", "--samples", "-3"],
+        ):
+            assert main(argv) == 1, argv
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("mazer: error: "), argv

@@ -79,6 +79,12 @@ class TestSystemParams:
             SystemParams(0.0, 0.0, 0)
         with pytest.raises(DomainError):
             SystemParams(0.0, -1.0, 0)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(DomainError):
+                SystemParams(0.0, bad, 0)
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(DomainError):
+                SystemParams(bad, 1000.0, 0)
 
     def test_invalid_photon_number_rejected(self):
         with pytest.raises(DomainError):

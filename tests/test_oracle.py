@@ -106,3 +106,16 @@ class TestConvergence:
             convergence_check(
                 ModeFunction.mesa(10.0), 0.1, SystemParams(0.0, 10.0, 0), 0
             )
+
+
+def test_oracle_is_independent_of_the_closed_forms():
+    # the oracle referees the closed forms, so it may share only the
+    # parameter container and the error type with them
+    from mazer import core, oracle, scattering
+
+    for name, value in vars(oracle).items():
+        assert value is not scattering, name
+        module = getattr(value, "__module__", None)
+        assert module != scattering.__name__, name
+        if module == core.__name__:
+            assert not value.__name__.startswith("_"), name

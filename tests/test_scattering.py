@@ -8,12 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mazer import scattering
-from mazer.core import DomainError, SystemParams
+from mazer.core import DomainError, SystemParams, _ArrayOps, _ScalarOps
 from mazer.scattering import (
     DegeneracyError,
     _scatter_matching,
     inverse_denominator,
-    resonance_denominator_scales,
     scatter,
     tau_pm,
     transmissions,
@@ -60,8 +59,6 @@ class TestTauPm:
 
 class TestResonanceDenominator:
     def test_finite_scales_and_bounded_envelope(self):
-        kc, kt = resonance_denominator_scales(0.05, PARAMS0)
-        assert np.isfinite([kc.real, kc.imag, kt.real, kt.imag]).all()
         envelope = abs(inverse_denominator(0.05, PARAMS0)) ** 2
         assert 0.0 < envelope <= 1.0 + 1e-12
 
@@ -69,8 +66,6 @@ class TestResonanceDenominator:
         # k_minus L = 2 m pi is a pole of cot(k_minus L / 2); the cleared
         # form must stay finite there
         k = math.sqrt((1002 / 1000.0) ** 2 - 1.0)  # k_minus L = 2*501*pi
-        kc, kt = resonance_denominator_scales(k, PARAMS0)
-        assert np.isfinite([kc.real, kc.imag, kt.real, kt.imag]).all()
         env = abs(inverse_denominator(k, PARAMS0)) ** 2
         assert np.isfinite(env)
 
@@ -81,10 +76,22 @@ class TestResonanceDenominator:
 
     def test_nonpositive_k_rejected(self):
         with pytest.raises(DomainError):
-            resonance_denominator_scales(-0.05, PARAMS0)
+            inverse_denominator(-0.05, PARAMS0)
 
 
 class TestScatter:
+    def test_nan_wavenumber_rejected(self):
+        from mazer.core import channel_wavenumbers
+        from mazer.pump import p_em_ultracold
+        from mazer.ultracold import transmission_ultracold
+
+        for fn in (scatter, inverse_denominator, transmission_ultracold,
+                   p_em_ultracold, channel_wavenumbers, transmissions):
+            with pytest.raises(DomainError):
+                fn(math.nan, PARAMS0)
+        with pytest.raises(DomainError):
+            tau_pm("-", math.nan, PARAMS0)
+
     def test_resonant_peak_height_half(self):
         res = scatter(resonant_k(1001), PARAMS0)
         assert res.T_total == pytest.approx(0.5, abs=1e-6)
@@ -244,21 +251,21 @@ class TestTransmissions:
         ks = np.linspace(0.01, 0.15, 7)
         clean_a, clean_b = transmissions(ks, params)
         real_inverse = scattering._inverse_denominator
-        real_dressed = scattering._dressed_k
+        real_channels = scattering._channels
         real_matching = scattering._scatter_matching
 
-        def nan_denominator(k, p, ops):
-            inv_d, nondegenerate = real_inverse(k, p, ops)
+        def nan_denominator(k, p, channels, ops):
+            inv_d, nondegenerate = real_inverse(k, p, channels, ops)
             inv_d = inv_d.copy()
             inv_d[3] = np.nan
             return inv_d, nondegenerate
 
-        def zero_k_plus(sign, k_eval, p, ops):
-            kpm = real_dressed(sign, k_eval, p, ops)
-            if sign == "+":
-                kpm = kpm.copy()
-                kpm[3] = 0.0
-            return kpm
+        def zero_k_plus(k, p, ops=_ScalarOps):
+            k_b, k_minus, k_plus = real_channels(k, p, ops)
+            if ops is _ArrayOps:
+                k_plus = k_plus.copy()
+                k_plus[3] = 0.0
+            return k_b, k_minus, k_plus
 
         matched = []
 
@@ -269,7 +276,7 @@ class TestTransmissions:
         if poison == "nan_denominator":
             monkeypatch.setattr(scattering, "_inverse_denominator", nan_denominator)
         else:
-            monkeypatch.setattr(scattering, "_dressed_k", zero_k_plus)
+            monkeypatch.setattr(scattering, "_channels", zero_k_plus)
         monkeypatch.setattr(scattering, "_scatter_matching", matching)
         t_a, t_b = transmissions(ks, params)
         assert matched == [ks[3]]

@@ -33,6 +33,10 @@ class TestVelocityDistribution:
         with pytest.raises(DomainError):
             VelocityDistribution(grid=(0.0, 0.2, 0.1), density=(0.0, 1.0, 0.0))
 
+    def test_interpolator_built_once(self):
+        init = initial_beam(101)
+        assert init.interpolator() is init.interpolator()
+
     def test_rejects_negative_density(self):
         with pytest.raises(DomainError):
             VelocityDistribution(grid=(0.0, 0.1, 0.2), density=(0.0, -1.0, 0.0))
