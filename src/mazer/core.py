@@ -79,22 +79,15 @@ class _ArrayOps:
     isfinite = np.isfinite
 
 
-def _dressed_shifts(params: SystemParams) -> tuple[float, float]:
-    """(k^2 - k_plus^2, k_minus^2 - k^2) = kappa_n^2 (tan theta_n, cot theta_n)."""
-    s = math.sqrt(params.photon_number + 1.0)  # kappa_n^2 in kappa^2 units
-    return s * params.tan_theta, s * params.cot_theta
-
-
 def _channels(k, params: SystemParams, ops=_ScalarOps):
     """(k_b, k_minus, k_plus) at incident k, each on the Im >= 0 branch.
 
     The one place the channel wavenumbers of `ChannelWavenumbers` are computed.
     """
-    shift_plus, shift_minus = _dressed_shifts(params)
     return (
         ops.sqrt_upper(ops.complex(k * k - params.detuning_ratio, 0.0)),
-        ops.sqrt_upper(ops.complex(k * k + shift_minus, 0.0)),
-        ops.sqrt_upper(ops.complex(k * k - shift_plus, 0.0)),
+        ops.sqrt_upper(ops.complex(k * k + params.shift_minus, 0.0)),
+        ops.sqrt_upper(ops.complex(k * k - params.shift_plus, 0.0)),
     )
 
 
@@ -129,6 +122,10 @@ class SystemParams:
     detuning_ratio:  delta/g
     coupling_length: kappa * L  (> 0)
     photon_number:   cavity Fock state n seen by the excited atom (>= 0)
+
+    The dressed-state quantities the closed forms read (theta_n, its trig
+    factors, the two k^2 shifts) are cached attributes, computed once per
+    parameter set.
     """
 
     detuning_ratio: float
@@ -171,6 +168,24 @@ class SystemParams:
     @cached_property
     def tan_theta(self) -> float:
         return math.tan(self.theta)
+
+    @cached_property
+    def cos2_theta(self) -> float:
+        return math.cos(self.theta) ** 2
+
+    @cached_property
+    def sin2_theta(self) -> float:
+        return math.sin(self.theta) ** 2
+
+    @cached_property
+    def shift_plus(self) -> float:
+        """k^2 - k_plus^2 = kappa_n^2 tan theta_n."""
+        return math.sqrt(self.photon_number + 1.0) * self.tan_theta
+
+    @cached_property
+    def shift_minus(self) -> float:
+        """k_minus^2 - k^2 = kappa_n^2 cot theta_n."""
+        return math.sqrt(self.photon_number + 1.0) * self.cot_theta
 
 
 @dataclass(frozen=True)

@@ -47,24 +47,16 @@ class ScatteringResult:
     T_total: float
 
 
-def _scaled_trig(z: complex, ops=_ScalarOps) -> tuple[complex, complex]:
-    """(cos(z), sin(z)) both multiplied by exp(-|Im z|); overflow free."""
+def _scaled_trig(z: complex, ops=_ScalarOps) -> tuple[complex, complex, float]:
+    """(cos(z) e^{-ls}, sin(z) e^{-ls}, ls) with ls = |Im z|; overflow free.
+
+    An amplitude 1 / (cos(kpm L) - i Sigma sin(kpm L)) is then
+    e^{-ls} / (c - i Sigma s) for z = kpm L.
+    """
     y = z.imag
     ep = ops.exp(ops.complex(-y - abs(y), z.real))  # e^{iz} e^{-|y|}
     em = ops.exp(ops.complex(y - abs(y), -z.real))  # e^{-iz} e^{-|y|}
-    return (ep + em) / 2.0, (ep - em) / 2j
-
-
-def _bracket(
-    kpm: complex, sigma: complex, length: float, ops=_ScalarOps
-) -> tuple[complex, float]:
-    """Scaled inverse amplitude: returns (B * e^{-ls}, ls).
-
-    B = cos(kpm L) - i sigma sin(kpm L) and ls = |Im(kpm L)|, so
-    tau = e^{-ls} / B_scaled.
-    """
-    c, s = _scaled_trig(kpm * length, ops)
-    return c - 1j * sigma * s, abs((kpm * length).imag)
+    return (ep + em) / 2.0, (ep - em) / 2j, abs(y)
 
 
 def _sigma(kpm: complex, k_eval: complex) -> complex:
@@ -78,10 +70,10 @@ def _tau(kpm: complex, k_eval: float, length: float) -> complex:
     For imaginary kpm the trigonometric factors turn hyperbolic
     automatically; past the underflow cutoff the amplitude is exactly 0.
     """
-    b, ls = _bracket(kpm, _sigma(kpm, k_eval), length)
+    c, s, ls = _scaled_trig(kpm * length)
     if ls > EVANESCENT_CUTOFF:
         return 0.0 + 0.0j
-    return cmath.exp(-ls) / b
+    return cmath.exp(-ls) / (c - 1j * _sigma(kpm, k_eval) * s)
 
 
 def tau_pm(sign: str, k_eval: float, params: SystemParams) -> complex:
@@ -112,8 +104,8 @@ def _denominator_pieces(
     ratio the amplitudes need.  `channels` is `_channels(k, params, ops)`.
     """
     kb, km, kp = channels
-    cm, sm = _scaled_trig(km * length / 2.0, ops)
-    cp, sp = _scaled_trig(kp * length / 2.0, ops)
+    cm, sm, _ = _scaled_trig(km * length / 2.0, ops)
+    cp, sp, _ = _scaled_trig(kp * length / 2.0, ops)
     p_c = (k * sm + 1j * cm * km) * (kb * sp + 1j * cp * kp)
     q_c = cm * km * sp - cp * kp * sm
     p_t = (k * cm - 1j * sm * km) * (kb * cp - 1j * sp * kp)
@@ -127,8 +119,7 @@ def _inverse_denominator(k: float, params: SystemParams, channels, ops=_ScalarOp
     `channels` is `_channels(k, params, ops)`, with the raw k_b.
     """
     p_c, q_c, p_t, q_t = _denominator_pieces(k, channels, params.coupling_length, ops)
-    cos2 = math.cos(params.theta) ** 2
-    w = cos2 * (k - channels[0])
+    w = params.cos2_theta * (k - channels[0])
     n_c = w * q_c - 1j * p_c
     n_t = w * q_t - 1j * p_t
     nondegenerate = (n_c != 0) & (n_t != 0)
@@ -162,7 +153,6 @@ def _scatter_closed_form(k: float, params: SystemParams, ops=_ScalarOps):
     the flux bound; the boundary-matching solve replaces it there.
     """
     length = params.coupling_length
-    theta = params.theta
     # The dressed wavenumbers are fixed by the incident energy; evaluating
     # tau at k_b only changes the impedance factor Sigma.  (Re-deriving
     # k+/- from k_b breaks agreement with the boundary-matching solution.)
@@ -170,42 +160,36 @@ def _scatter_closed_form(k: float, params: SystemParams, ops=_ScalarOps):
     kb_raw, km_k, kp_k = channels
     # exact two-channel threshold; the amplitudes take the open-side limit
     kb = ops.where(kb_raw == 0, ops.complex(1e-12 * k, 0.0), kb_raw)
-    cos2 = math.cos(theta) ** 2
-    sin2 = math.sin(theta) ** 2
 
     def sig_tilde(kpm: complex) -> complex:
         return kpm / (k + kb) + (kb / (k + kb)) * (k / kpm)
 
-    bm_k, ls_m_k = _bracket(km_k, _sigma(km_k, k), length, ops)
-    bp_b, ls_p_b = _bracket(kp_k, _sigma(kp_k, kb), length, ops)
-    bm_b, ls_m_b = _bracket(km_k, _sigma(km_k, kb), length, ops)
-    btm, ls_tm = _bracket(km_k, sig_tilde(km_k), length, ops)
-    btp, ls_tp = _bracket(kp_k, sig_tilde(kp_k), length, ops)
+    # The brackets B = cos(kpm L) - i Sigma sin(kpm L) of one channel share its
+    # scale e^{-ls}, which cancels in a ratio of two of them.
+    cm, sm, ls_m = _scaled_trig(km_k * length, ops)
+    cp, sp, ls_p = _scaled_trig(kp_k * length, ops)
+    exp_m = ops.exp(-ls_m)
+    exp_p = ops.exp(-ls_p)
+    bm_k = cm - 1j * _sigma(km_k, k) * sm
+    bp_b = cp - 1j * _sigma(kp_k, kb) * sp
+    bm_b = cm - 1j * _sigma(km_k, kb) * sm
+    btm = cm - 1j * sig_tilde(km_k) * sm
+    btp = cp - 1j * sig_tilde(kp_k) * sp
 
     inv_d, nondegenerate = _inverse_denominator(k, params, channels, ops)
 
-    # tau_minus(k) = e^{-ls_m_k} / bm_k  (k_minus is real, ls_m_k = 0)
-    tau_m_k = ops.exp(-ls_m_k) / bm_k
-
-    # cos^2(t) * [tau-(k)/tau-(k_b)] * tau+(k_b), exponents combined
-    e1 = ls_m_b - ls_m_k - ls_p_b
+    # cos^2(t) * [tau-(k)/tau-(k_b)] * tau+(k_b)
     term_a1 = ops.where(
-        e1 < -EVANESCENT_CUTOFF,
+        ls_p > EVANESCENT_CUTOFF,
         0.0 + 0.0j,
-        cos2 * (bm_b / bm_k) * ops.exp(e1) / bp_b,
+        params.cos2_theta * (bm_b / bm_k) * exp_p / bp_b,
     )
-    tau_a = (term_a1 + sin2 * tau_m_k) * inv_d
+    tau_a = (term_a1 + params.sin2_theta * (exp_m / bm_k)) * inv_d
 
     # [tau-(k)/ttau-(k,kb)] tau+(k_b)  -  [tau+(k_b)/ttau+(k,kb)] tau-(k)
-    e2 = ls_tm - ls_m_k - ls_p_b
-    t1 = ops.where(
-        e2 > -EVANESCENT_CUTOFF, (btm / bm_k) * ops.exp(e2) / bp_b, 0.0
-    )
-    e3 = ls_tp - ls_p_b - ls_m_k
-    t2 = ops.where(
-        e3 > -EVANESCENT_CUTOFF, (btp / bp_b) * ops.exp(e3) / bm_k, 0.0
-    )
-    pref = (math.sin(2.0 * theta) / 4.0) * (1.0 + k / kb)
+    t1 = ops.where(ls_p < EVANESCENT_CUTOFF, (btm / bm_k) * exp_p / bp_b, 0.0)
+    t2 = ops.where(ls_m < EVANESCENT_CUTOFF, (btp / bp_b) * exp_m / bm_k, 0.0)
+    pref = (math.sin(2.0 * params.theta) / 4.0) * (1.0 + k / kb)
     tau_b = pref * (t1 - t2) * inv_d
 
     T_a = abs(tau_a) ** 2

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from scipy.optimize import brentq, minimize_scalar
 
-from .core import DomainError, SystemParams, _channels, _dressed_shifts, _is_open
+from .core import DomainError, SystemParams, _channels, _is_open
 from .scattering import _scalar_inverse_denominator, _tau, tau_pm
 
 # Operationalization of the paper-regime conditions "k << kappa_n sqrt(tan)"
@@ -51,8 +51,8 @@ def ultracold_valid(k: float, params: SystemParams) -> bool:
 
 def _branching(kb_ratio: float, params: SystemParams) -> float:
     """f(theta_n) = sin^2 (sin^2 + (k_b/k) cos^2), given k_b/k (0 when b is closed)."""
-    sin2 = math.sin(params.theta) ** 2
-    return sin2 * (sin2 + kb_ratio * math.cos(params.theta) ** 2)
+    sin2 = params.sin2_theta
+    return sin2 * (sin2 + kb_ratio * params.cos2_theta)
 
 
 def transmission_factors(
@@ -113,7 +113,7 @@ def resonance_amplitude(peak_position: float, params: SystemParams) -> float:
 
 def analytic_position(m: int, params: SystemParams) -> float | None:
     """Eq.-(21)-style position sqrt((m pi / kL)^2 - sqrt(n+1) cot theta)."""
-    rad = (m * math.pi / params.coupling_length) ** 2 - _dressed_shifts(params)[1]
+    rad = (m * math.pi / params.coupling_length) ** 2 - params.shift_minus
     if rad <= 0.0:
         return None
     return math.sqrt(rad)
@@ -188,6 +188,13 @@ def _fwhm(
     return right - left
 
 
+def _peak(m: int, pos: float, refined: bool, params: SystemParams) -> ResonancePeak:
+    """Peak m at its located position, with its amplitude and FWHM."""
+    amplitude = transmission_ultracold(pos, params).value
+    width = _fwhm(pos, amplitude, _peak_spacing(m, params), params)
+    return ResonancePeak(m, pos, amplitude, width, refined)
+
+
 def resonance_positions(
     params: SystemParams, m_range: tuple[int, int]
 ) -> list[ResonancePeak]:
@@ -204,33 +211,26 @@ def resonance_positions(
         if m < 1:
             raise DomainError(f"resonance index must be >= 1, got {m}")
         located = _locate_peak(m, params)
-        if located is None:
-            continue
-        pos, refined = located
-        amplitude = transmission_ultracold(pos, params).value
-        width = _fwhm(pos, amplitude, _peak_spacing(m, params), params)
-        peaks.append(
-            ResonancePeak(
-                index=m,
-                position=pos,
-                amplitude=amplitude,
-                width=width,
-                refined=refined,
-            )
-        )
+        if located is not None:
+            peaks.append(_peak(m, *located, params))
     return peaks
 
 
 def catalog_in_window(
     params: SystemParams, k_max: float, k_min: float = 0.0
 ) -> list[ResonancePeak]:
-    """All resonance peaks with positions in (k_min, k_max]."""
-    base = _dressed_shifts(params)[1]
+    """All resonance peaks with positions in (k_min, k_max].
+
+    Each index is located first; only the peaks inside the window pay for
+    their amplitude and width.
+    """
+    base = params.shift_minus
     scale = params.coupling_length / math.pi
     m_lo = max(1, math.floor(math.sqrt(max(base + k_min * k_min, 0.0)) * scale))
     m_hi = math.ceil(math.sqrt(base + k_max * k_max) * scale) + 1
+    located = [(m, _locate_peak(m, params)) for m in range(m_lo, m_hi + 1)]
     return [
-        p
-        for p in resonance_positions(params, (m_lo, m_hi))
-        if k_min < p.position <= k_max
+        _peak(m, *loc, params)
+        for m, loc in located
+        if loc is not None and k_min < loc[0] <= k_max
     ]

@@ -285,3 +285,28 @@ class TestTransmissions:
         others = np.arange(len(ks)) != 3
         assert np.array_equal(t_a[others], clean_a[others])
         assert np.array_equal(t_b[others], clean_b[others])
+
+
+class TestPhasesOncePerPoint:
+    """Each channel's scaled trig is computed once per closed-form evaluation:
+    k_minus L and k_plus L, plus the two half angles of the denominator."""
+
+    @pytest.mark.parametrize(
+        "evaluate",
+        [
+            lambda p: scatter(0.05, p),
+            lambda p: transmissions(np.linspace(0.01, 0.15, 7), p),
+        ],
+        ids=["scatter", "transmissions_block"],
+    )
+    def test_four_scaled_trig_calls(self, monkeypatch, evaluate):
+        real = scattering._scaled_trig
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(scattering, "_scaled_trig", counting)
+        evaluate(SystemParams(0.002, KL200, 3))
+        assert len(calls) == 4

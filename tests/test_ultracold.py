@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from mazer import ultracold
 from mazer.core import DomainError, SystemParams
 from mazer.scattering import scatter
 from mazer.ultracold import (
@@ -139,6 +140,19 @@ class TestResonanceCatalog:
     def test_invalid_index_rejected(self):
         with pytest.raises(DomainError):
             resonance_positions(PARAMS0, (0, 2))
+
+    def test_window_widths_only_for_kept_peaks(self, monkeypatch):
+        real = ultracold._fwhm
+        widths = []
+
+        def counting(*args):
+            widths.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(ultracold, "_fwhm", counting)
+        peaks = catalog_in_window(SystemParams(0.002, 200.0 * math.pi, 0), 0.2)
+        assert peaks
+        assert len(widths) == len(peaks)
 
 
 class TestResonanceAmplitude:
