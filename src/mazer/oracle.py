@@ -87,12 +87,17 @@ class ModeFunction:
 
 @dataclass(frozen=True)
 class SMatrixResult:
-    """Reflection/transmission amplitudes into |a,n> and |b,n+1>."""
+    """Reflection/transmission amplitudes into |a,n> and |b,n+1>.
+
+    T_b is the transmitted flux k_b/k |t_b|^2 into |b,n+1>, with the
+    solver's own k_b; it is 0 when channel b is closed.
+    """
 
     r_a: complex
     r_b: complex
     t_a: complex
     t_b: complex
+    T_b: float
     flux_sum: float
 
 
@@ -201,7 +206,10 @@ def solve(mode: ModeFunction, k: float, params: SystemParams) -> SMatrixResult:
     t_a, t_b = complex(x[-2]), complex(x[-1])
     flux_b = (kb.real / k) * (abs(r_b) ** 2 + abs(t_b) ** 2)
     flux_sum = abs(r_a) ** 2 + abs(t_a) ** 2 + flux_b
-    return SMatrixResult(r_a=r_a, r_b=r_b, t_a=t_a, t_b=t_b, flux_sum=flux_sum)
+    T_b = (kb.real / k) * abs(t_b) ** 2 if kb.real > 0.0 else 0.0
+    return SMatrixResult(
+        r_a=r_a, r_b=r_b, t_a=t_a, t_b=t_b, T_b=T_b, flux_sum=flux_sum
+    )
 
 
 def convergence_check(

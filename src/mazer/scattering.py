@@ -211,15 +211,14 @@ def _scatter_matching(k: float, params: SystemParams) -> ScatteringResult:
 
     res = solve(ModeFunction.mesa(params.coupling_length), k, params)
     T_a = abs(res.t_a) ** 2
-    T_b = _flux_b(k, _channels(k, params)[0], res.t_b)
-    if not (math.isfinite(T_a) and math.isfinite(T_b)):
+    if not (math.isfinite(T_a) and math.isfinite(res.T_b)):
         raise ArithmeticError(f"scattering solve failed at k={k}, params={params}")
     return ScatteringResult(
         tau_a=res.t_a,
         tau_b=res.t_b,
         T_a=T_a,
-        T_b=T_b,
-        T_total=T_a + T_b,
+        T_b=res.T_b,
+        T_total=T_a + res.T_b,
     )
 
 

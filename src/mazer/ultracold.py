@@ -145,6 +145,8 @@ def _locate_peak(m: int, params: SystemParams) -> tuple[float, bool] | None:
     Where channel b is closed at the analytic position (k^2 <= delta/g) the
     peak is refined by maximizing the ultracold transmission around it.
     """
+    if m < 1:
+        raise DomainError(f"resonance index must be >= 1, got {m}")
     pos = analytic_position(m, params)
     if pos is None:
         return None
@@ -206,10 +208,10 @@ def resonance_positions(
     whose radicand is not positive yield no peak.
     """
     m_min, m_max = m_range
+    if m_min > m_max:
+        raise DomainError(f"empty index range: m_min {m_min} > m_max {m_max}")
     peaks: list[ResonancePeak] = []
     for m in range(m_min, m_max + 1):
-        if m < 1:
-            raise DomainError(f"resonance index must be >= 1, got {m}")
         located = _locate_peak(m, params)
         if located is not None:
             peaks.append(_peak(m, *located, params))
@@ -224,6 +226,8 @@ def catalog_in_window(
     Each index is located first; only the peaks inside the window pay for
     their amplitude and width.
     """
+    if k_min > k_max:
+        raise DomainError(f"empty window: k_min {k_min} > k_max {k_max}")
     base = params.shift_minus
     scale = params.coupling_length / math.pi
     m_lo = max(1, math.floor(math.sqrt(max(base + k_min * k_min, 0.0)) * scale))

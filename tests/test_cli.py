@@ -132,6 +132,12 @@ class TestPresetsAndConfig:
         with pytest.raises(SystemExit):
             main(["pump", "--delta", "0", "0.005"])
 
+    def test_jacobian_is_a_select_flag(self):
+        assert build_parser().parse_args(["select", "--jacobian"]).jacobian
+        with pytest.raises(SystemExit) as exc:
+            main(["pump", "--jacobian"])
+        assert exc.value.code == 2
+
     def test_abbreviated_flag_overrides_preset(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         base = ["transmission", "--preset", "fig3a", "--points", "11"]
@@ -290,6 +296,20 @@ class TestOracleCheckAndErrors:
             # no samples would pass the tolerance gate vacuously
             ["oracle-check", "--samples", "0"],
             ["oracle-check", "--samples", "-3"],
+            # a nan tolerance would make the gate unfailable
+            ["oracle-check", "--samples", "3", "--tolerance", "nan"],
+            ["oracle-check", "--samples", "3", "--tolerance=-1"],
+            ["oracle-check", "--samples", "3", "--tolerance", "inf"],
+            # --k-min alone would be dropped in favour of the m range
+            ["resonances", "--k-min", "0.05"],
+            ["amplitude", "--m", "0", "--points", "1"],
+            ["amplitude", "--m=-1001", "--delta-min", "0", "--delta-max", "0",
+             "--points", "1"],
+            # empty windows and index ranges would print a header-only table
+            ["transmission", "--refine", "--k-min", "0.05", "--k-max", "0.01",
+             "--points", "3"],
+            ["resonances", "--k-min", "0.05", "--k-max", "0.01"],
+            ["resonances", "--m-min", "5", "--m-max", "1"],
         ):
             assert main(argv) == 1, argv
             err = capsys.readouterr().err.splitlines()

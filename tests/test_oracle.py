@@ -54,6 +54,18 @@ class TestSolve:
             1.0, abs=1e-9
         )
 
+    @pytest.mark.parametrize("delta", [-0.003, 0.002, 0.005, 5.0])
+    def test_transmitted_b_flux_uses_own_k_b(self, delta):
+        k = 0.05
+        res = solve(ModeFunction.mesa(KL), k, SystemParams(delta, KL, 0))
+        if k * k > delta:
+            assert res.T_b == (math.sqrt(k * k - delta) / k) * abs(res.t_b) ** 2
+            assert res.T_b > 0.0
+        else:
+            # the evanescent b amplitude is nonzero but carries no flux
+            assert abs(res.t_b) > 0.0
+            assert res.T_b == 0.0
+
     def test_flux_conservation_randomized(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
