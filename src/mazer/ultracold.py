@@ -210,12 +210,8 @@ def resonance_positions(
     m_min, m_max = m_range
     if m_min > m_max:
         raise DomainError(f"empty index range: m_min {m_min} > m_max {m_max}")
-    peaks: list[ResonancePeak] = []
-    for m in range(m_min, m_max + 1):
-        located = _locate_peak(m, params)
-        if located is not None:
-            peaks.append(_peak(m, *located, params))
-    return peaks
+    located = [(m, _locate_peak(m, params)) for m in range(m_min, m_max + 1)]
+    return [_peak(m, *loc, params) for m, loc in located if loc is not None]
 
 
 def catalog_in_window(
