@@ -128,7 +128,7 @@ def refined_grid(
     offsets = np.linspace(-3.0, 3.0, 6 * POINTS_PER_WIDTH)
     extra = [np.asarray(grid, dtype=float)]
     for p in params:
-        for peak in catalog_in_window(p, hi, max(lo, 1e-9)):
+        for peak in catalog_in_window(p, hi, max(lo, 0.0)):
             extra.append(peak.position + max(peak.width, 1e-14) * offsets)
     out = np.unique(np.concatenate(extra))
     return out[(out >= lo) & (out <= hi)]

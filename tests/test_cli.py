@@ -277,6 +277,17 @@ class TestOracleCheckAndErrors:
         ])
         assert rc == 1
 
+    @pytest.mark.parametrize(
+        "window",
+        [["--k-min", "0.05", "--k-max", "0.01"],
+         ["--refine", "--k-min", "1e-12", "--k-max", "1e-10"]],
+        ids=["descending_unrefined", "refined_below_1e-9"],
+    )
+    def test_nonempty_k_windows_still_run(self, tmp_path, window):
+        out = tmp_path / "t.csv"
+        assert main(["transmission", *window, "--points", "3", "--out", str(out)]) == 0
+        assert len(read_lines(out)) == 4
+
     def test_invalid_parameters_exit_nonzero(self, capsys):
         rc = main([
             "transmission", "--coupling-length", "-5", "--points", "3",
