@@ -307,12 +307,13 @@ class TestOracleCheckAndErrors:
             # no samples would pass the tolerance gate vacuously
             ["oracle-check", "--samples", "0"],
             ["oracle-check", "--samples", "-3"],
-            # a nan tolerance would make the gate unfailable
+            # the tolerance must be finite and >= 0; nan would never fail
             ["oracle-check", "--samples", "3", "--tolerance", "nan"],
             ["oracle-check", "--samples", "3", "--tolerance=-1"],
             ["oracle-check", "--samples", "3", "--tolerance", "inf"],
             # --k-min alone would be dropped in favour of the m range
             ["resonances", "--k-min", "0.05"],
+            # m <= 0 would print an empty table or the row of |m|
             ["amplitude", "--m", "0", "--points", "1"],
             ["amplitude", "--m=-1001", "--delta-min", "0", "--delta-max", "0",
              "--points", "1"],
