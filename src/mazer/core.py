@@ -17,7 +17,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -123,9 +122,14 @@ class SystemParams:
     coupling_length: kappa * L  (> 0)
     photon_number:   cavity Fock state n seen by the excited atom (>= 0)
 
-    The dressed-state quantities the closed forms read (theta_n, its trig
-    factors, the two k^2 shifts) are cached attributes, computed once per
-    parameter set.
+    The dressed-state quantities the closed forms read are set once, when
+    the parameters are built (equality, hashing and repr use only the inputs):
+
+    rabi_ratio:  Omega_n/g = 2 sqrt(n+1);  kappa_n: kappa_n/kappa = (n+1)^(1/4)
+    theta:       mixing angle theta_n (`dressed_angle`), with tan_theta,
+                 cot_theta, cos2_theta (cos^2) and sin2_theta (sin^2)
+    shift_plus:  k^2 - k_plus^2 = kappa_n^2 tan theta_n
+    shift_minus: k_minus^2 - k^2 = kappa_n^2 cot theta_n
     """
 
     detuning_ratio: float
@@ -145,47 +149,22 @@ class SystemParams:
             raise DomainError(
                 f"photon_number must be >= 0, got {self.photon_number}"
             )
-
-    @cached_property
-    def rabi_ratio(self) -> float:
-        """Omega_n/g = 2 sqrt(n+1)."""
-        return 2.0 * math.sqrt(self.photon_number + 1.0)
-
-    @cached_property
-    def kappa_n(self) -> float:
-        """kappa_n / kappa = (n+1)^(1/4)."""
-        return (self.photon_number + 1.0) ** 0.25
-
-    @cached_property
-    def theta(self) -> float:
-        """Dressed-state mixing angle theta_n."""
-        return dressed_angle(self.detuning_ratio, self.photon_number)
-
-    @cached_property
-    def cot_theta(self) -> float:
-        return 1.0 / math.tan(self.theta)
-
-    @cached_property
-    def tan_theta(self) -> float:
-        return math.tan(self.theta)
-
-    @cached_property
-    def cos2_theta(self) -> float:
-        return math.cos(self.theta) ** 2
-
-    @cached_property
-    def sin2_theta(self) -> float:
-        return math.sin(self.theta) ** 2
-
-    @cached_property
-    def shift_plus(self) -> float:
-        """k^2 - k_plus^2 = kappa_n^2 tan theta_n."""
-        return math.sqrt(self.photon_number + 1.0) * self.tan_theta
-
-    @cached_property
-    def shift_minus(self) -> float:
-        """k_minus^2 - k^2 = kappa_n^2 cot theta_n."""
-        return math.sqrt(self.photon_number + 1.0) * self.cot_theta
+        n1 = self.photon_number + 1.0
+        theta = dressed_angle(self.detuning_ratio, self.photon_number)
+        tan_theta = math.tan(theta)
+        cot_theta = 1.0 / tan_theta
+        # the dataclass is frozen, so the derived values go straight into __dict__
+        self.__dict__.update(
+            rabi_ratio=2.0 * math.sqrt(n1),
+            kappa_n=n1**0.25,
+            theta=theta,
+            tan_theta=tan_theta,
+            cot_theta=cot_theta,
+            cos2_theta=math.cos(theta) ** 2,
+            sin2_theta=math.sin(theta) ** 2,
+            shift_plus=math.sqrt(n1) * tan_theta,
+            shift_minus=math.sqrt(n1) * cot_theta,
+        )
 
 
 @dataclass(frozen=True)

@@ -46,9 +46,9 @@ class TestTauPm:
             tau_pm("-", 0.0, PARAMS0)
 
     def test_degenerate_threshold_signalled(self):
-        # pin tan(theta) to exactly 1 so k_plus^2 = k^2 - 1 vanishes at k = 1
+        # pin the k^2 shift to exactly 1 so k_plus^2 = k^2 - 1 vanishes at k = 1
         params = SystemParams(0.0, KL, 0)
-        object.__setattr__(params, "tan_theta", 1.0)
+        object.__setattr__(params, "shift_plus", 1.0)
         with pytest.raises(DegeneracyError):
             tau_pm("+", 1.0, params)
 
