@@ -209,6 +209,8 @@ def cmd_transmission(args) -> int:
             for k, a, b in zip(grid, t_a, t_b):
                 rows.append(_transmission_row(float(k), d, params, a, b, args))
     else:
+        if args.refine:
+            raise DomainError("--refine applies only to --sweep k")
         # the parameters change on every row, so each row is one scalar call
         for d in np.linspace(args.delta_min, args.delta_max, args.points):
             params = SystemParams(float(d), args.coupling_length, args.photon_number)
@@ -305,8 +307,8 @@ def cmd_select(args) -> int:
 def cmd_oracle_check(args) -> int:
     if args.samples < 1:
         raise DomainError(f"--samples must be >= 1, got {args.samples}")
-    if not (args.tolerance >= 0.0 and math.isfinite(args.tolerance)):
-        raise DomainError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
+    if not args.tolerance >= 0.0:
+        raise DomainError(f"--tolerance must be >= 0, got {args.tolerance}")
     rng = np.random.default_rng(args.seed)
     columns = [
         "k", "delta", "n", "coupling_length",
@@ -490,8 +492,13 @@ def main(argv: Sequence[str] | None = None) -> int:
             sp.set_defaults(**_read_config(args.config, sp))
         args = parser.parse_args(argv)
     try:
-        if args.g_hz is not None and not (args.g_hz > 0.0 and math.isfinite(args.g_hz)):
-            raise DomainError(f"--g-hz must be finite and > 0, got {args.g_hz}")
+        for key, value in vars(args).items():
+            values = value if isinstance(value, list) else [value]
+            if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+                flag = "--" + key.replace("_", "-")
+                raise DomainError(f"{flag} must be finite, got {value}")
+        if args.g_hz is not None and not args.g_hz > 0.0:
+            raise DomainError(f"--g-hz must be > 0, got {args.g_hz}")
         return args.func(args)
     except (DomainError, OSError, ValueError, ArithmeticError, RuntimeError) as exc:
         print(f"mazer: error: {exc}", file=sys.stderr)

@@ -37,12 +37,14 @@ class PumpParams:
     truncation: int = 64
 
     def __post_init__(self) -> None:
-        if self.thermal_photons < 0.0:
+        if not (self.thermal_photons >= 0.0 and math.isfinite(self.thermal_photons)):
             raise DomainError(
-                f"thermal_photons must be >= 0, got {self.thermal_photons}"
+                f"thermal_photons must be finite and >= 0, got {self.thermal_photons}"
             )
-        if self.pump_ratio < 0.0:
-            raise DomainError(f"pump_ratio must be >= 0, got {self.pump_ratio}")
+        if not (self.pump_ratio >= 0.0 and math.isfinite(self.pump_ratio)):
+            raise DomainError(
+                f"pump_ratio must be finite and >= 0, got {self.pump_ratio}"
+            )
         if self.truncation < 1:
             raise DomainError(f"truncation must be >= 1, got {self.truncation}")
 
@@ -54,9 +56,9 @@ class PhotonDistribution:
     probabilities: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        if not all(0.0 <= p <= 1.0 for p in self.probabilities):
+            raise DomainError("photon probabilities must lie in [0, 1]")
         total = math.fsum(self.probabilities)
-        if any(p < 0.0 for p in self.probabilities):
-            raise DomainError("photon probabilities must be nonnegative")
         if abs(total - 1.0) > 1e-12:
             raise DomainError(f"photon probabilities must sum to 1, got {total}")
 

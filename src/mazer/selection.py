@@ -9,6 +9,7 @@ at k entered the cavity at k' with k'^2 = k^2 + delta/g.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -42,10 +43,12 @@ class VelocityDistribution:
         g = np.asarray(self.grid)
         if len(self.grid) != len(self.density):
             raise DomainError("grid and density must have equal length")
-        if len(self.grid) < 2 or np.any(np.diff(g) <= 0.0) or g[0] < 0.0:
-            raise DomainError("grid must be strictly increasing and >= 0")
-        if any(d < 0.0 for d in self.density):
-            raise DomainError("density values must be nonnegative")
+        if len(self.grid) < 2 or not (
+            g[0] >= 0.0 and np.isfinite(g[-1]) and np.all(np.diff(g) > 0.0)
+        ):
+            raise DomainError("grid must be finite, strictly increasing and >= 0")
+        if not all(0.0 <= d < math.inf for d in self.density):
+            raise DomainError("density values must be finite and nonnegative")
 
     def integral(self) -> float:
         return float(np.trapezoid(np.asarray(self.density), np.asarray(self.grid)))
@@ -73,8 +76,8 @@ def maxwell_boltzmann_initial(
 
     k0 is the most probable wavenumber (the mode of this density).
     """
-    if k0 <= 0.0:
-        raise DomainError(f"k0 must be > 0, got {k0}")
+    if not (k0 > 0.0 and math.isfinite(k0)):
+        raise DomainError(f"k0 must be finite and > 0, got {k0}")
     g = np.asarray(grid, dtype=float)
     dens = g * g * np.exp(-((g / k0) ** 2))
     norm = np.trapezoid(dens, g)
@@ -128,7 +131,7 @@ def refined_grid(
     offsets = np.linspace(-3.0, 3.0, 6 * POINTS_PER_WIDTH)
     extra = [np.asarray(grid, dtype=float)]
     for p in params:
-        for peak in catalog_in_window(p, hi, max(lo, 0.0)):
+        for peak in catalog_in_window(p, hi, lo):
             extra.append(peak.position + max(peak.width, 1e-14) * offsets)
     out = np.unique(np.concatenate(extra))
     return out[(out >= lo) & (out <= hi)]

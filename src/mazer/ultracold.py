@@ -226,7 +226,8 @@ def catalog_in_window(
         raise DomainError(f"empty window: k_min {k_min} > k_max {k_max}")
     base = params.shift_minus
     scale = params.coupling_length / math.pi
-    m_lo = max(1, math.floor(math.sqrt(max(base + k_min * k_min, 0.0)) * scale))
+    k_lo = max(k_min, 0.0)  # positions are > 0, so a negative k_min adds no peak
+    m_lo = max(1, math.floor(math.sqrt(base + k_lo * k_lo) * scale))
     m_hi = math.ceil(math.sqrt(base + k_max * k_max) * scale) + 1
     located = [(m, _locate_peak(m, params)) for m in range(m_lo, m_hi + 1)]
     return [

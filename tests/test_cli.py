@@ -322,7 +322,28 @@ class TestOracleCheckAndErrors:
              "--points", "3"],
             ["resonances", "--k-min", "0.05", "--k-max", "0.01"],
             ["resonances", "--m-min", "5", "--m-max", "1"],
+            # a delta sweep has no k grid to refine
+            ["transmission", "--sweep", "delta", "--refine", "--points", "3"],
         ):
             assert main(argv) == 1, argv
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and err[0].startswith("mazer: error: "), argv
+        # nan and inf pass every `x < 0` check further down; the error names
+        # the flag, scalar or list
+        for argv, flag in (
+            (["pump", "--n-b", "nan"], "--n-b"),
+            (["pump", "--n-b", "inf"], "--n-b"),
+            (["pump", "--pump-ratio", "nan"], "--pump-ratio"),
+            (["pump", "--pump-ratio", "inf"], "--pump-ratio"),
+            (["pump", "--k-max", "inf"], "--k-max"),
+            (["select", "--k0", "inf"], "--k0"),
+            (["select", "--delta", "0", "nan"], "--delta"),
+            (["transmission", "--k-max", "inf", "--points", "3"], "--k-max"),
+            (["transmission", "--sweep", "delta", "--k", "inf", "--points", "3"],
+             "--k"),
+            (["resonances", "--k-max", "inf"], "--k-max"),
+            (["oracle-check", "--samples", "3", "--k-max", "inf"], "--k-max"),
+        ):
+            assert main(argv) == 1, argv
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith(f"mazer: error: {flag} "), argv

@@ -31,12 +31,20 @@ class TestValidation:
             PumpParams(thermal_photons=0.1, pump_ratio=-1.0)
         with pytest.raises(DomainError):
             PumpParams(thermal_photons=0.1, pump_ratio=1.0, truncation=0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                PumpParams(thermal_photons=bad, pump_ratio=1.0)
+            with pytest.raises(DomainError):
+                PumpParams(thermal_photons=0.1, pump_ratio=bad)
 
     def test_photon_distribution_rejects_bad_values(self):
         with pytest.raises(DomainError):
             PhotonDistribution(probabilities=(0.5, 0.6))
         with pytest.raises(DomainError):
             PhotonDistribution(probabilities=(1.2, -0.2))
+        for probs in ((math.nan,), (1.0, math.nan), (math.inf, -math.inf)):
+            with pytest.raises(DomainError):
+                PhotonDistribution(probabilities=probs)
 
     def test_photon_distribution_mean(self):
         dist = PhotonDistribution(probabilities=(0.25, 0.5, 0.25))

@@ -32,6 +32,9 @@ class TestVelocityDistribution:
     def test_rejects_nonmonotone_grid(self):
         with pytest.raises(DomainError):
             VelocityDistribution(grid=(0.0, 0.2, 0.1), density=(0.0, 1.0, 0.0))
+        for grid in ((0.0, math.nan, 0.2), (math.nan, 0.1, 0.2), (0.0, 0.1, math.inf)):
+            with pytest.raises(DomainError):
+                VelocityDistribution(grid=grid, density=(0.0, 1.0, 0.0))
 
     def test_interpolator_built_once(self):
         init = initial_beam(101)
@@ -40,6 +43,9 @@ class TestVelocityDistribution:
     def test_rejects_negative_density(self):
         with pytest.raises(DomainError):
             VelocityDistribution(grid=(0.0, 0.1, 0.2), density=(0.0, -1.0, 0.0))
+        for bad in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                VelocityDistribution(grid=(0.0, 0.1, 0.2), density=(0.0, bad, 0.0))
 
 
 class TestMaxwellBoltzmann:
@@ -55,6 +61,9 @@ class TestMaxwellBoltzmann:
     def test_invalid_k0_rejected(self):
         with pytest.raises(DomainError):
             maxwell_boltzmann_initial(0.0, np.linspace(0.0, 0.2, 10))
+        for bad in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                maxwell_boltzmann_initial(bad, np.linspace(0.0, 0.2, 10))
 
 
 class TestBeamTransmissions:

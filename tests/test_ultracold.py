@@ -141,6 +141,12 @@ class TestResonanceCatalog:
         with pytest.raises(DomainError):
             resonance_positions(PARAMS0, (0, 2))
 
+    def test_negative_k_min_keeps_every_peak(self):
+        # positions are > 0, so any k_min <= 0 gives the same window
+        below = catalog_in_window(PARAMS0, 0.1, -0.09)
+        assert [p.index for p in below] == [1001, 1002, 1003, 1004]
+        assert below == catalog_in_window(PARAMS0, 0.1, 0.0)
+
     def test_window_widths_only_for_kept_peaks(self, monkeypatch):
         real = ultracold._fwhm
         widths = []
