@@ -74,6 +74,36 @@ class TestSystemParams:
         assert p.cot_theta == pytest.approx(1.0)
         assert p.tan_theta == pytest.approx(1.0)
 
+    # the oracle-check sampling domain
+    @given(
+        delta=st.floats(min_value=-500.0, max_value=10.0, allow_nan=False),
+        kl=st.floats(min_value=1e2, max_value=1e4, allow_nan=False),
+        n=st.integers(min_value=0, max_value=3),
+    )
+    @settings(max_examples=200)
+    def test_dressed_state_set_at_construction(self, delta, kl, n):
+        p = SystemParams(delta, kl, n)
+        theta = dressed_angle(delta, n)
+        expected = {
+            "rabi_ratio": 2.0 * math.sqrt(n + 1.0),
+            "kappa_n": (n + 1.0) ** 0.25,
+            "theta": theta,
+            "tan_theta": math.tan(theta),
+            "cot_theta": 1.0 / math.tan(theta),
+            "cos2_theta": math.cos(theta) ** 2,
+            "sin2_theta": math.sin(theta) ** 2,
+            "shift_plus": math.sqrt(n + 1.0) * math.tan(theta),
+            "shift_minus": math.sqrt(n + 1.0) * (1.0 / math.tan(theta)),
+        }
+        # present in the instance before any of them is read, and bit-identical
+        assert {name: vars(p)[name] for name in expected} == expected
+        twin = SystemParams(delta, kl, n)
+        assert twin == p and hash(twin) == hash(p)
+        assert repr(p) == (
+            f"SystemParams(detuning_ratio={delta!r}, coupling_length={kl!r}, "
+            f"photon_number={n!r})"
+        )
+
     def test_invalid_length_rejected(self):
         with pytest.raises(DomainError):
             SystemParams(0.0, 0.0, 0)
