@@ -19,6 +19,7 @@ from .ultracold import (
     resonance_amplitude,
     resonance_positions,
     transmission_ultracold,
+    ultracold_valid,
 )
 from .oracle import ModeFunction, SMatrixResult, convergence_check, solve
 from .pump import (
@@ -64,4 +65,5 @@ __all__ = [
     "tau_pm",
     "transmission_ultracold",
     "transmissions",
+    "ultracold_valid",
 ]

@@ -29,6 +29,7 @@ from .ultracold import (
     resonance_amplitude,
     resonance_positions,
     transmission_ultracold,
+    ultracold_valid,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -223,8 +224,8 @@ def cmd_transmission(args) -> int:
 
 
 def _transmission_row(k: float, d: float, params: SystemParams, t_a, t_b, args):
-    uc = transmission_ultracold(k, params)
-    row = [k, d, t_a, t_b, t_a + t_b, uc.value, uc.valid]
+    t_uc = transmission_ultracold(k, params)
+    row = [k, d, t_a, t_b, t_a + t_b, t_uc, ultracold_valid(k, params)]
     if args.g_hz is not None:
         row.append(d * args.g_hz / TWO_PI)
     return row

@@ -25,20 +25,6 @@ class DomainError(ValueError):
     """Raised when an argument lies outside the physically meaningful domain."""
 
 
-def _sqrt_upper_c(z: complex) -> complex:
-    """Principal square root flipped onto the Im >= 0 half plane."""
-    w = cmath.sqrt(z)
-    if w.imag < 0.0:
-        w = -w
-    return w
-
-
-def _sqrt_upper_array(z: np.ndarray) -> np.ndarray:
-    """`_sqrt_upper_c` elementwise."""
-    w = np.sqrt(z)
-    return np.where(w.imag < 0.0, -w, w)
-
-
 def _complex_array(re, im) -> np.ndarray:
     """re + i im built from its parts, so inf or nan in one part stays there."""
     out = np.empty(np.broadcast(re, im).shape, dtype=complex)
@@ -63,7 +49,7 @@ class _ScalarOps:
 
     exp = cmath.exp
     complex = complex
-    sqrt_upper = staticmethod(_sqrt_upper_c)
+    sqrt = cmath.sqrt
     where = staticmethod(_if_else)
     isfinite = math.isfinite
 
@@ -73,7 +59,7 @@ class _ArrayOps:
 
     exp = np.exp
     complex = staticmethod(_complex_array)
-    sqrt_upper = staticmethod(_sqrt_upper_array)
+    sqrt = np.sqrt
     where = np.where
     isfinite = np.isfinite
 
@@ -82,17 +68,19 @@ def _channels(k, params: SystemParams, ops=_ScalarOps):
     """(k_b, k_minus, k_plus) at incident k, each on the Im >= 0 branch.
 
     The one place the channel wavenumbers of `ChannelWavenumbers` are computed.
+    The principal root of x + 0j has Im >= 0 (C99 csqrt gives the result's
+    imaginary part the sign of the argument's), so no flip is needed.
     """
     return (
-        ops.sqrt_upper(ops.complex(k * k - params.detuning_ratio, 0.0)),
-        ops.sqrt_upper(ops.complex(k * k + params.shift_minus, 0.0)),
-        ops.sqrt_upper(ops.complex(k * k - params.shift_plus, 0.0)),
+        ops.sqrt(ops.complex(k * k - params.detuning_ratio, 0.0)),
+        ops.sqrt(ops.complex(k * k + params.shift_minus, 0.0)),
+        ops.sqrt(ops.complex(k * k - params.shift_plus, 0.0)),
     )
 
 
 def _is_open(k_b):
-    """Whether channel b propagates: k_b real and > 0 (elementwise on arrays)."""
-    return (k_b.real > 0.0) & (k_b.imag == 0.0)
+    """Whether channel b propagates; k_b = sqrt(x + 0j) is real when Re k_b > 0."""
+    return k_b.real > 0.0
 
 
 def _flux_b(k, k_b, t_b, ops=_ScalarOps):

@@ -133,12 +133,8 @@ def mean_p_em(
     pi = initial.interpolator()
 
     def integrand(k: float) -> float:
-        if k <= 0.0:
-            return 0.0
-        w = pi(k)
-        if not np.isfinite(w) or w <= 0.0:
-            return 0.0
-        return float(w) * p_em(k)
+        w = float(pi(k))  # nan outside the grid, and nan > 0.0 is False
+        return w * p_em(k) if w > 0.0 else 0.0
 
     lo = max(float(initial.grid[0]), 1e-12)
     hi = float(initial.grid[-1])
@@ -206,9 +202,7 @@ def stationary_distribution(
 
 
 def _logsumexp(x: np.ndarray) -> float:
-    m = float(np.max(x))
-    if m == -math.inf:
-        raise ConfigurationError("all photon-number weights vanished")
+    m = float(np.max(x))  # >= x[0] = 0.0
     return m + math.log(float(np.sum(np.exp(x - m))))
 
 

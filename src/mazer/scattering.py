@@ -95,31 +95,22 @@ def tau_pm(sign: str, k_eval: float, params: SystemParams) -> complex:
     return _tau(kpm, k_eval, params.coupling_length)
 
 
-def _denominator_pieces(
-    k: float, channels, length: float, ops=_ScalarOps
-) -> tuple[complex, complex, complex, complex]:
-    """Cleared-fraction pieces (Pc, Qc, Pt, Qt), all scaled by e^{-lsm-lsp}.
+def _inverse_denominator(k: float, params: SystemParams, channels, ops=_ScalarOps):
+    """(1/D, nondegenerate): `inverse_denominator`, nan where it is degenerate.
 
-    k^c_n = i Pc/Qc and k^t_n = i Pt/Qt; the common scale cancels in every
-    ratio the amplitudes need.  `channels` is `_channels(k, params, ops)`.
+    `channels` is `_channels(k, params, ops)`, with the raw k_b.  Built from
+    the cleared-fraction pieces k^c_n = i Pc/Qc and k^t_n = i Pt/Qt, all
+    scaled by e^{-lsm-lsp}; the common scale cancels in 1/D.
     """
     kb, km, kp = channels
+    length = params.coupling_length
     cm, sm, _ = _scaled_trig(km * length / 2.0, ops)
     cp, sp, _ = _scaled_trig(kp * length / 2.0, ops)
     p_c = (k * sm + 1j * cm * km) * (kb * sp + 1j * cp * kp)
     q_c = cm * km * sp - cp * kp * sm
     p_t = (k * cm - 1j * sm * km) * (kb * cp - 1j * sp * kp)
     q_t = sp * kp * cm - sm * km * cp
-    return p_c, q_c, p_t, q_t
-
-
-def _inverse_denominator(k: float, params: SystemParams, channels, ops=_ScalarOps):
-    """(1/D, nondegenerate): `inverse_denominator`, nan where it is degenerate.
-
-    `channels` is `_channels(k, params, ops)`, with the raw k_b.
-    """
-    p_c, q_c, p_t, q_t = _denominator_pieces(k, channels, params.coupling_length, ops)
-    w = params.cos2_theta * (k - channels[0])
+    w = params.cos2_theta * (k - kb)
     n_c = w * q_c - 1j * p_c
     n_t = w * q_t - 1j * p_t
     nondegenerate = (n_c != 0) & (n_t != 0)

@@ -23,14 +23,6 @@ VALIDITY_MIN_KAPPA_N_L = 20.0
 
 
 @dataclass(frozen=True)
-class UltracoldTransmission:
-    """Value of the factorized transmission plus its regime-validity flag."""
-
-    value: float
-    valid: bool
-
-
-@dataclass(frozen=True)
 class ResonancePeak:
     """One transmission resonance in k space (all in units of kappa)."""
 
@@ -55,10 +47,8 @@ def _branching(kb_ratio: float, params: SystemParams) -> float:
     return sin2 * (sin2 + kb_ratio * params.cos2_theta)
 
 
-def transmission_factors(
-    k: float, params: SystemParams
-) -> tuple[float, float, float]:
-    """The three factors (f(theta), I(L), |tau_minus(k)|^2)."""
+def transmission_ultracold(k: float, params: SystemParams) -> float:
+    """T = f(theta_n) I(L) |tau_minus(k)|^2; `ultracold_valid` says where it holds."""
     if not k > 0.0:
         raise DomainError(f"incident wavenumber must be > 0, got {k}")
     channels = _channels(k, params)
@@ -67,15 +57,7 @@ def transmission_factors(
     f = _branching(k_b.real / k, params)
     i_of_l = abs(_scalar_inverse_denominator(k, params, channels)) ** 2
     tau2 = abs(_tau(k_minus, k, params.coupling_length)) ** 2
-    return f, i_of_l, tau2
-
-
-def transmission_ultracold(k: float, params: SystemParams) -> UltracoldTransmission:
-    """T = f(theta_n) I(L) |tau_minus(k)|^2 with the regime-validity flag."""
-    f, i_of_l, tau2 = transmission_factors(k, params)
-    return UltracoldTransmission(
-        value=f * i_of_l * tau2, valid=ultracold_valid(k, params)
-    )
+    return f * i_of_l * tau2
 
 
 def loeffler_resonant(
@@ -131,7 +113,7 @@ def _refine_peak(seed: float, spacing: float, params: SystemParams) -> float:
     lo = max(seed - 0.5 * spacing, seed * 1e-6)
     hi = seed + 0.5 * spacing
     res = minimize_scalar(
-        lambda q: -transmission_ultracold(q, params).value,
+        lambda q: -transmission_ultracold(q, params),
         bounds=(lo, hi),
         method="bounded",
         options={"xatol": seed * 1e-10},
@@ -168,7 +150,7 @@ def _fwhm(
     half = 0.5 * amplitude
 
     def g(q: float) -> float:
-        return transmission_ultracold(q, params).value - half
+        return transmission_ultracold(q, params) - half
 
     def crossing(direction: int) -> float:
         step = spacing * 1e-4
@@ -192,7 +174,7 @@ def _fwhm(
 
 def _peak(m: int, pos: float, refined: bool, params: SystemParams) -> ResonancePeak:
     """Peak m at its located position, with its amplitude and FWHM."""
-    amplitude = transmission_ultracold(pos, params).value
+    amplitude = transmission_ultracold(pos, params)
     width = _fwhm(pos, amplitude, _peak_spacing(m, params), params)
     return ResonancePeak(m, pos, amplitude, width, refined)
 

@@ -128,7 +128,7 @@ def test_acceptance_5_width_in_hz():
     g_hz = 1e5
 
     def t_of_delta(d: float) -> float:
-        return transmission_ultracold(k, SystemParams(d, kl, 0)).value
+        return transmission_ultracold(k, SystemParams(d, kl, 0))
 
     # seed the resonance nearest delta = 0: cot(theta) = (m pi / kL)^2 - k^2
     m = round(math.sqrt(k * k + 1.0) * kl / math.pi)

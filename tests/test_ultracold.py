@@ -27,14 +27,14 @@ class TestTransmissionUltracold:
     def test_reduces_to_loeffler_at_zero_detuning(self):
         for k in (0.01, 0.02, 0.0447, 0.09):
             uc = transmission_ultracold(k, PARAMS0)
-            assert uc.value == pytest.approx(
+            assert uc == pytest.approx(
                 loeffler_resonant(k, KL, 0), abs=1e-12
             )
 
     def test_deep_valley_between_peaks(self):
         # midway between resonances the interference factor suppresses T
         uc = transmission_ultracold(0.02, PARAMS0)
-        assert uc.value < 0.01  # two orders below the 0.5 peak height
+        assert uc < 0.01  # two orders below the 0.5 peak height
 
     def test_validity_flags(self):
         assert ultracold_valid(0.01, PARAMS0)
@@ -58,7 +58,7 @@ class TestTransmissionUltracold:
                 if not ultracold_valid(float(k), params):
                     continue
                 diff = abs(
-                    transmission_ultracold(float(k), params).value
+                    transmission_ultracold(float(k), params)
                     - scatter(float(k), params).T_total
                 )
                 worst = max(worst, diff)
