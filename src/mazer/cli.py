@@ -310,6 +310,15 @@ def cmd_oracle_check(args) -> int:
         raise DomainError(f"--samples must be >= 1, got {args.samples}")
     if not args.tolerance >= 0.0:
         raise DomainError(f"--tolerance must be >= 0, got {args.tolerance}")
+    if args.n_max < 0:
+        raise DomainError(f"--n-max must be >= 0, got {args.n_max}")
+    # k and kappa L are drawn log-uniformly, so their ranges must be positive
+    for name, positive in (("k", True), ("kl", True), ("delta", False)):
+        lo, hi = getattr(args, f"{name}_min"), getattr(args, f"{name}_max")
+        if positive and not lo > 0.0:
+            raise DomainError(f"--{name}-min must be > 0, got {lo}")
+        if lo > hi:
+            raise DomainError(f"--{name}-min must be <= --{name}-max, got {lo} > {hi}")
     rng = np.random.default_rng(args.seed)
     columns = [
         "k", "delta", "n", "coupling_length",

@@ -5,7 +5,9 @@ import math
 
 import pytest
 
+from mazer import SystemParams, transmission_ultracold, ultracold_valid
 from mazer.cli import PRESETS, build_parser, main
+from mazer.ultracold import peak_position, resonance_amplitude
 
 KL = 1e3 * math.pi
 
@@ -79,6 +81,41 @@ class TestDeterminismAndFormats:
         # width_hz = g_hz * 2 * position * width / (2 pi)
         expected = 1e5 * 2.0 * float(row[1]) * float(row[3]) / (2 * math.pi)
         assert float(row[5]) == pytest.approx(expected, rel=1e-12)
+
+        # amplitude: delta_hz = delta g / (2 pi) after delta; each row is the
+        # library's peak position and amplitude at that detuning
+        out = tmp_path / "a.csv"
+        assert main([
+            "amplitude", "--points", "3", "--g-hz", "1e5", "--out", str(out),
+        ]) == 0
+        lines = read_lines(out)
+        assert lines[0] == "delta,delta_hz,m,position,amplitude"
+        # peak 1001 does not exist at delta/g = -0.01, so that row is skipped
+        assert [line.split(",")[0] for line in lines[1:]] == ["0", "0.01"]
+        for line in lines[1:]:
+            d, d_hz, m, pos, amp = (float(v) for v in line.split(","))
+            params = SystemParams(d, KL, 0)
+            assert d_hz == pytest.approx(d * 1e5 / (2 * math.pi), rel=1e-12)
+            assert m == 1001
+            assert pos == peak_position(1001, params)
+            assert amp == resonance_amplitude(pos, params)
+
+        # transmission: delta_hz is the last column
+        out = tmp_path / "t.csv"
+        assert main([
+            "transmission", "--points", "3", "--g-hz", "1e5",
+            "--delta", "-0.005", "0.005", "--out", str(out),
+        ]) == 0
+        lines = read_lines(out)
+        assert lines[0] == "k,delta,T_a,T_b,T_total,T_ultracold,uc_valid,delta_hz"
+        assert len(lines) == 7
+        for line in lines[1:]:
+            row = line.split(",")
+            k, d = float(row[0]), float(row[1])
+            params = SystemParams(d, KL, 0)
+            assert float(row[5]) == transmission_ultracold(k, params)
+            assert row[6] == ("1" if ultracold_valid(k, params) else "0")
+            assert float(row[7]) == pytest.approx(d * 1e5 / (2 * math.pi), rel=1e-12)
 
 
 class TestResonancesCommand:
@@ -324,6 +361,8 @@ class TestOracleCheckAndErrors:
             ["resonances", "--m-min", "5", "--m-max", "1"],
             # a delta sweep has no k grid to refine
             ["transmission", "--sweep", "delta", "--refine", "--points", "3"],
+            # a thermal floor that cannot converge fails before any quadrature
+            ["pump", "--n-b", "1e6"],
         ):
             assert main(argv) == 1, argv
             err = capsys.readouterr().err.splitlines()
@@ -343,6 +382,16 @@ class TestOracleCheckAndErrors:
              "--k"),
             (["resonances", "--k-max", "inf"], "--k-max"),
             (["oracle-check", "--samples", "3", "--k-max", "inf"], "--k-max"),
+            # sampling domains: positive log ranges, lo <= hi, n_max >= 0
+            (["oracle-check", "--samples", "3", "--k-min", "0"], "--k-min"),
+            (["oracle-check", "--samples", "3", "--kl-min", "0"], "--kl-min"),
+            (["oracle-check", "--samples", "3", "--n-max", "-1"], "--n-max"),
+            (["oracle-check", "--samples", "3", "--k-min", "2", "--k-max", "1"],
+             "--k-min"),
+            (["oracle-check", "--samples", "3", "--kl-min", "2e4", "--kl-max", "1e4"],
+             "--kl-min"),
+            (["oracle-check", "--samples", "3", "--delta-min", "1",
+              "--delta-max", "0"], "--delta-min"),
         ):
             assert main(argv) == 1, argv
             err = capsys.readouterr().err.splitlines()

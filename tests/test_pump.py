@@ -172,3 +172,14 @@ class TestStationaryDistribution:
         # a kernel growing ~n keeps the recursion ratio above 1 forever
         with pytest.raises(ConfigurationError):
             stationary_distribution(PumpParams(0.2, 3.0, 16), lambda n: float(n))
+
+    def test_divergent_thermal_floor_signalled_before_any_emission(self):
+        calls = []
+
+        def counting_mean_em(n):
+            calls.append(n)
+            return 0.1
+
+        with pytest.raises(ConfigurationError):
+            stationary_distribution(PumpParams(1e6, 100.0), counting_mean_em)
+        assert calls == []
