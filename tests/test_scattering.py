@@ -250,14 +250,19 @@ class TestTransmissions:
         params = SystemParams(0.002, KL200, 2)
         ks = np.linspace(0.01, 0.15, 7)
         clean_a, clean_b = transmissions(ks, params)
+        clean_point = scatter(float(ks[2]), params)
         real_inverse = scattering._inverse_denominator
         real_channels = scattering._channels
         real_matching = scattering._scatter_matching
 
-        def nan_denominator(k, p, channels, ops):
+        # the array poisons hit element 3 only, the scalar ones the point ks[3]
+        def nan_denominator(k, p, channels, ops=_ScalarOps):
             inv_d, nondegenerate = real_inverse(k, p, channels, ops)
-            inv_d = inv_d.copy()
-            inv_d[3] = np.nan
+            if ops is _ArrayOps:
+                inv_d = inv_d.copy()
+                inv_d[3] = np.nan
+            elif k == ks[3]:
+                inv_d = complex(math.nan, math.nan)
             return inv_d, nondegenerate
 
         def zero_k_plus(k, p, ops=_ScalarOps):
@@ -265,6 +270,8 @@ class TestTransmissions:
             if ops is _ArrayOps:
                 k_plus = k_plus.copy()
                 k_plus[3] = 0.0
+            elif k == ks[3]:
+                k_plus = 0j  # the scalar kernel divides by it: ZeroDivisionError
             return k_b, k_minus, k_plus
 
         matched = []
@@ -285,6 +292,12 @@ class TestTransmissions:
         others = np.arange(len(ks)) != 3
         assert np.array_equal(t_a[others], clean_a[others])
         assert np.array_equal(t_b[others], clean_b[others])
+        # the scalar path falls back the same way, once
+        matched.clear()
+        res = scatter(float(ks[3]), params)
+        assert matched == [ks[3]]
+        assert (res.T_a, res.T_b) == (reference.T_a, reference.T_b)
+        assert scatter(float(ks[2]), params) == clean_point
 
 
 class TestPhasesOncePerPoint:
