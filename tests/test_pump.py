@@ -172,8 +172,7 @@ class TestStationaryDistribution:
         # a kernel growing ~n keeps the recursion ratio above 1 forever
         with pytest.raises(ConfigurationError):
             stationary_distribution(PumpParams(0.2, 3.0, 16), lambda n: float(n))
-
-    def test_divergent_thermal_floor_signalled_before_any_emission(self):
+        # a thermal floor that misses the tail criterion fails before mean_em
         calls = []
 
         def counting_mean_em(n):
