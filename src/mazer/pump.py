@@ -173,9 +173,8 @@ def stationary_distribution(
     """
     n_b = pump.thermal_photons
     if pump.pump_ratio > 0.0:
-        # every pumped ratio is at least the thermal one, so the pumped tail is
-        # at least as heavy: a thermal floor that misses the tail criterion
-        # fails here, without a single call of mean_em
+        # every pumped ratio is at least the thermal one, so a thermal tail that
+        # misses the criterion fails here, before any call of mean_em
         thermal_distribution(n_b, pump.truncation)
     ratio_den = math.log(n_b + 1.0)
     n_max = pump.truncation

@@ -250,13 +250,12 @@ class TestTransmissions:
         params = SystemParams(0.002, KL200, 2)
         ks = np.linspace(0.01, 0.15, 7)
         clean_a, clean_b = transmissions(ks, params)
-        clean_point = scatter(float(ks[2]), params)
         real_inverse = scattering._inverse_denominator
         real_channels = scattering._channels
         real_matching = scattering._scatter_matching
 
         # the array poisons hit element 3 only, the scalar ones the point ks[3]
-        def nan_denominator(k, p, channels, ops=_ScalarOps):
+        def nan_denominator(k, p, channels, ops):
             inv_d, nondegenerate = real_inverse(k, p, channels, ops)
             if ops is _ArrayOps:
                 inv_d = inv_d.copy()
@@ -297,7 +296,6 @@ class TestTransmissions:
         res = scatter(float(ks[3]), params)
         assert matched == [ks[3]]
         assert (res.T_a, res.T_b) == (reference.T_a, reference.T_b)
-        assert scatter(float(ks[2]), params) == clean_point
 
 
 class TestPhasesOncePerPoint:
