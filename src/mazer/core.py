@@ -48,6 +48,7 @@ class _ScalarOps:
     """
 
     exp = cmath.exp
+    sin = math.sin
     complex = complex
     sqrt = cmath.sqrt
     where = staticmethod(_if_else)
@@ -58,6 +59,7 @@ class _ArrayOps:
     """`_ScalarOps` elementwise over numpy arrays."""
 
     exp = np.exp
+    sin = np.sin
     complex = staticmethod(_complex_array)
     sqrt = np.sqrt
     where = np.where

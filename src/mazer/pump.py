@@ -12,10 +12,10 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Literal
 
 import numpy as np
-from scipy.integrate import quad
 
-from .core import DomainError, SystemParams, _channels, _is_open
-from .scattering import _scalar_inverse_denominator, scatter
+from ._qagp import qagp
+from .core import DomainError, SystemParams, _ArrayOps, _channels, _is_open, _ScalarOps
+from .scattering import DegeneracyError, _inverse_denominator, transmissions
 from .ultracold import catalog_in_window
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -70,41 +70,64 @@ class PhotonDistribution:
         return math.fsum(n * p for n, p in enumerate(self.probabilities))
 
 
+def _p_em_closed_form(k, params: SystemParams, ops=_ScalarOps):
+    """(P_em, channel b open, nondegenerate) at k; P_em is 0 where b is closed.
+
+    The fast-varying phase is evaluated with the full lower-dressed
+    wavenumber k_minus (= kappa_n sqrt(cot theta) at leading ultracold
+    order), which keeps the expression in phase with the exact resonances.
+    Where b is open but `nondegenerate` is false, P_em is nan.
+    """
+    channels = _channels(k, params, ops)
+    k_b, k_minus, _ = channels
+    is_open = _is_open(k_b)
+    inv_d, nondegenerate = _inverse_denominator(k, params, channels, ops)
+    cot = params.cot_theta
+    phase = k_minus.real * params.coupling_length
+    kn = params.kappa_n
+    i_of_l = abs(inv_d) ** 2
+    num = 1.0 + 0.5 * cot * ops.sin(2.0 * phase)
+    den = 1.0 + (kn / (2.0 * k)) ** 2 * cot * ops.sin(phase) ** 2
+    value = (k_b.real / k) * 0.5 * i_of_l * num / den
+    # value < 0 is a floating-point undershoot of the interference numerator
+    value = ops.where(value < 0.0, 0.0, value)
+    return ops.where(is_open, value, 0.0), is_open, nondegenerate
+
+
 def p_em_ultracold(k: float, params: SystemParams) -> float:
     """Induced-emission probability of one ultracold atom with wavenumber k.
 
     Vanishes identically when the emission channel is closed
-    ((k/kappa)^2 <= delta/g).  The fast-varying phase is evaluated with the
-    full lower-dressed wavenumber k_minus (= kappa_n sqrt(cot theta) at
-    leading ultracold order), which keeps the expression in phase with the
-    exact resonances.
+    ((k/kappa)^2 <= delta/g).
     """
     if not k > 0.0:
         raise DomainError(f"incident wavenumber must be > 0, got {k}")
-    channels = _channels(k, params)
-    k_b, k_minus, _ = channels
-    if not _is_open(k_b):
-        return 0.0
-    cot = params.cot_theta
-    phase = k_minus.real * params.coupling_length
-    kn = params.kappa_n
-    i_of_l = abs(_scalar_inverse_denominator(k, params, channels)) ** 2
-    num = 1.0 + 0.5 * cot * math.sin(2.0 * phase)
-    den = 1.0 + (kn / (2.0 * k)) ** 2 * cot * math.sin(phase) ** 2
-    value = (k_b.real / k) * 0.5 * i_of_l * num / den
-    if value < 0.0:
-        # floating-point undershoot of the interference numerator
-        value = 0.0
+    value, is_open, nondegenerate = _p_em_closed_form(k, params)
+    if is_open and not nondegenerate:
+        raise DegeneracyError(f"degenerate resonance denominator at k={k}")
+    return value
+
+
+def _p_em_array(k: np.ndarray, params: SystemParams) -> np.ndarray:
+    """`p_em_ultracold` at every point of the array k (> 0), to a few ulp."""
+    with np.errstate(all="ignore"):
+        value, is_open, nondegenerate = _p_em_closed_form(k, params, _ArrayOps)
+    bad = is_open & ~nondegenerate
+    if np.any(bad):
+        raise DegeneracyError(
+            f"degenerate resonance denominator at k={k[bad][0]}"
+        )
     return value
 
 
 def _emission_kernel(
     params: SystemParams, kernel: Literal["ultracold", "exact"]
-) -> Callable[[float], float]:
+) -> Callable[[np.ndarray], np.ndarray]:
+    """P_em on an array of k > 0: the ultracold form or the exact T_b."""
     if kernel == "ultracold":
-        return lambda k: p_em_ultracold(k, params)
+        return lambda k: _p_em_array(k, params)
     if kernel == "exact":
-        return lambda k: scatter(k, params).T_b
+        return lambda k: transmissions(k, params)[1]
     raise ValueError(f"unknown emission kernel {kernel!r}")
 
 
@@ -132,9 +155,12 @@ def mean_p_em(
     p_em = _emission_kernel(params, kernel)
     pi = initial.interpolator()
 
-    def integrand(k: float) -> float:
-        w = float(pi(k))  # nan outside the grid, and nan > 0.0 is False
-        return w * p_em(k) if w > 0.0 else 0.0
+    def integrand(k: np.ndarray) -> np.ndarray:
+        w = pi(k)  # nan outside the grid, and nan > 0.0 is False
+        inside = w > 0.0
+        out = np.zeros_like(k)
+        out[inside] = w[inside] * p_em(k[inside])
+        return out
 
     lo = max(float(initial.grid[0]), 1e-12)
     hi = float(initial.grid[-1])
@@ -145,20 +171,19 @@ def mean_p_em(
             q = peak.position + off * max(peak.width, 1e-12)
             if lo < q < hi:
                 points.append(q)
-    points = sorted(set(points))
-    # full_output suppresses the roundoff warning quad emits when the
-    # requested tolerance saturates machine precision near narrow peaks
-    out = quad(
+    value = qagp(
         integrand,
         lo,
         hi,
-        points=points or None,
+        sorted(set(points)),
         epsabs=QUAD_ABS_TOL,
         epsrel=1e-10,
         limit=400,
-        full_output=1,
-    )
-    value = out[0]
+    ).value
+    if not math.isfinite(value):
+        raise ArithmeticError(
+            f"beam-averaged emission probability for n={n} is {value}"
+        )
     return min(max(value, 0.0), 1.0)
 
 
@@ -182,7 +207,12 @@ def stationary_distribution(
 
     def extend(to: int) -> None:
         for m in range(len(log_ratios) + 1, to + 1):
-            num = n_b + pump.pump_ratio * mean_em(m - 1) / m
+            em = mean_em(m - 1)
+            if not math.isfinite(em):
+                raise ConfigurationError(
+                    f"mean emission probability for n={m - 1} is {em}"
+                )
+            num = n_b + pump.pump_ratio * em / m
             log_ratios.append(
                 (-math.inf if num == 0.0 else math.log(num)) - ratio_den
             )

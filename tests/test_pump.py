@@ -4,20 +4,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mazer.pump as pump
-from mazer.core import DomainError, SystemParams
+from mazer.core import DomainError, SystemParams, _ArrayOps
 from mazer.oracle import ModeFunction, solve
 from mazer.pump import (
     ConfigurationError,
     PhotonDistribution,
     PumpParams,
     _emission_kernel,
+    _p_em_array,
     mean_p_em,
     p_em_ultracold,
     stationary_distribution,
     thermal_distribution,
 )
+from mazer.scattering import DegeneracyError, scatter, transmissions
 from mazer.selection import maxwell_boltzmann_initial
 
 KL200 = 200.0 * math.pi
@@ -82,15 +86,92 @@ class TestPEmUltracold:
             p_em_ultracold(0.0, SystemParams(0.0, KL200, 0))
 
     def test_kernel_dispatch(self):
-        params = SystemParams(0.0, KL200, 0)
-        assert _emission_kernel(params, "ultracold")(0.05) == p_em_ultracold(
-            0.05, params
-        )
-        from mazer.scattering import scatter
-
-        assert _emission_kernel(params, "exact")(0.05) == scatter(0.05, params).T_b
+        # delta/g = 0.002 closes channel b below k = 0.0447
+        params = SystemParams(0.002, KL200, 3)
+        ks = np.linspace(0.01, 0.15, 57)
+        exact = _emission_kernel(params, "exact")(ks)
+        assert np.array_equal(exact, transmissions(ks, params)[1])
+        ultracold = _emission_kernel(params, "ultracold")(ks)
+        for k, u, e in zip(ks, ultracold, exact):
+            assert abs(u - p_em_ultracold(float(k), params)) <= 1e-14
+            assert abs(e - scatter(float(k), params).T_b) <= 1e-14
         with pytest.raises(ValueError):
             _emission_kernel(params, "nope")
+
+
+def assert_array_matches_scalar(ks, params):
+    # outside the ultracold regime the formula exceeds 1 (up to ~1e4 on the
+    # oracle-check domain); there the bound is a few ulp of the value
+    values = _p_em_array(np.array(ks), params)
+    for k, v in zip(ks, values):
+        scalar = p_em_ultracold(k, params)
+        bound = 1e-15 if abs(scalar) <= 1.0 else 4e-15 * abs(scalar)
+        assert abs(v - scalar) <= bound
+
+
+class TestPEmArray:
+    # the domains of TestTransmissions in test_scattering.py
+    @given(
+        ks=st.lists(
+            st.floats(min_value=-3.0, max_value=0.0).map(lambda e: 10.0 ** e),
+            min_size=1, max_size=16,
+        ),
+        delta=st.floats(min_value=-500.0, max_value=10.0),
+        n=st.integers(min_value=0, max_value=3),
+        kl=st.floats(min_value=2.0, max_value=4.0).map(lambda e: 10.0 ** e),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_scalar_on_oracle_check_domain(self, ks, delta, n, kl):
+        assert_array_matches_scalar(ks, SystemParams(delta, kl, n))
+
+    @given(
+        ks=st.lists(
+            st.floats(min_value=1e-4, max_value=0.2), min_size=1, max_size=16
+        ),
+        delta=st.floats(min_value=-0.002, max_value=0.005),
+        n=st.integers(min_value=0, max_value=40),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_scalar_on_fig4_domain(self, ks, delta, n):
+        assert_array_matches_scalar(ks, SystemParams(delta, KL200, n))
+
+    @pytest.mark.parametrize(
+        "params",
+        [SystemParams(0.05, KL200, 0), SystemParams(0.005, KL200, 7)],
+    )
+    def test_closed_b_channel_gives_exactly_zero(self, params):
+        ks = np.linspace(1e-3, math.sqrt(params.detuning_ratio), 400)[:-1]
+        assert np.all(_p_em_array(ks, params) == 0.0)
+
+    def test_degenerate_point_raises(self, monkeypatch):
+        # channel b is closed at ks[0] and open at ks[3]: a degenerate
+        # denominator is an error where b is open and gives 0 where closed
+        params = SystemParams(0.002, KL200, 2)
+        ks = np.linspace(0.01, 0.15, 7)
+        real_inverse = pump._inverse_denominator
+
+        def degenerate_at(index):
+            def poisoned(k, p, channels, ops):
+                inv_d, nondegenerate = real_inverse(k, p, channels, ops)
+                if ops is _ArrayOps:
+                    nondegenerate = nondegenerate.copy()
+                    nondegenerate[index] = False
+                    inv_d = np.where(nondegenerate, inv_d, np.nan)
+                elif k == ks[index]:
+                    return math.nan, False
+                return inv_d, nondegenerate
+
+            return poisoned
+
+        monkeypatch.setattr(pump, "_inverse_denominator", degenerate_at(3))
+        with pytest.raises(DegeneracyError):
+            _p_em_array(ks, params)
+        with pytest.raises(DegeneracyError):
+            p_em_ultracold(float(ks[3]), params)
+        monkeypatch.setattr(pump, "_inverse_denominator", degenerate_at(0))
+        values = _p_em_array(ks, params)
+        assert values[0] == 0.0 and np.all(np.isfinite(values))
+        assert p_em_ultracold(float(ks[0]), params) == 0.0
 
 
 class TestMeanPEm:
@@ -112,7 +193,6 @@ class TestMeanPEm:
         base = SystemParams(0.05, KL200, 0)  # b closed over the whole support
         assert mean_p_em(0, init, base) == 0.0
 
-    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     def test_self_convergence_under_tighter_quadrature(self, monkeypatch):
         grid = np.linspace(0.0, 0.2, 1001)
         init = maxwell_boltzmann_initial(0.05, grid)
@@ -129,6 +209,13 @@ class TestMeanPEm:
         bad = VelocityDistribution(grid=(0.0, 0.1, 0.2), density=(0.0, 1.0, 0.0))
         with pytest.raises(DomainError):
             mean_p_em(0, bad, SystemParams(0.0, KL200, 0))
+
+    def test_nan_emission_raises(self, monkeypatch):
+        nan_kernel = lambda k, params: np.full_like(k, np.nan)
+        monkeypatch.setattr(pump, "_p_em_array", nan_kernel)
+        init = maxwell_boltzmann_initial(0.05, np.linspace(0.0, 0.2, 1001))
+        with pytest.raises(ArithmeticError, match="n=3"):
+            mean_p_em(3, init, SystemParams(0.0, KL200, 0))
 
 
 class TestStationaryDistribution:
@@ -182,3 +269,15 @@ class TestStationaryDistribution:
         with pytest.raises(ConfigurationError):
             stationary_distribution(PumpParams(1e6, 100.0), counting_mean_em)
         assert calls == []
+
+    def test_nan_emission_fails_at_once(self):
+        # a nan must not pass for a divergent product after 65,536 calls
+        calls = []
+
+        def nan_mean_em(n):
+            calls.append(n)
+            return math.nan
+
+        with pytest.raises(ConfigurationError, match="n=0"):
+            stationary_distribution(PumpParams(0.2, 100.0, 64), nan_mean_em)
+        assert calls == [0]
