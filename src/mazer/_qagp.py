@@ -353,7 +353,8 @@ def qagp(
     abserr = OFLOW
     ksgn = 1 if dres >= (1.0 - 50.0 * EPMACH) * resabs else -1
 
-    # main loop: bisect the interval with the nrmax-th largest error estimate
+    # main loop: bisect the interval with the nrmax-th largest error estimate;
+    # exit_to is the Fortran label the loop leaves to
     exit_to = 170
     for last in range(npts2, limit + 1):
         levcur = level[maxerr] + 1
