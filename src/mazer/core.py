@@ -17,6 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -155,6 +156,37 @@ class SystemParams:
             shift_plus=math.sqrt(n1) * tan_theta,
             shift_minus=math.sqrt(n1) * cot_theta,
         )
+
+
+class _Dressed(NamedTuple):
+    """The `SystemParams` attributes the closed forms read, stacked over points.
+
+    Each field is an array with one element per point, holding the value of
+    the `SystemParams` attribute of the same name; a single `SystemParams`
+    is therefore itself the record of its points.  The closed forms read
+    nothing else of their parameters.
+    """
+
+    detuning_ratio: np.ndarray
+    coupling_length: np.ndarray
+    theta: np.ndarray
+    cos2_theta: np.ndarray
+    sin2_theta: np.ndarray
+    shift_plus: np.ndarray
+    shift_minus: np.ndarray
+
+    @classmethod
+    def stack(cls, params: Sequence[SystemParams]) -> _Dressed:
+        """The record of points i = 0, 1, ... with parameters params[i].
+
+        The values are copied, not recomputed with numpy: np.arctan2 and
+        np.tan are an ulp off math's on some angles, and the closed form
+        magnifies that near sharp resonances.
+        """
+        return cls(*(
+            np.array([getattr(p, name) for p in params], dtype=float)
+            for name in cls._fields
+        ))
 
 
 @dataclass(frozen=True)

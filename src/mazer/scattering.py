@@ -18,10 +18,19 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .core import DomainError, SystemParams, _ArrayOps, _channels, _flux_b, _ScalarOps
+from .core import (
+    DomainError,
+    SystemParams,
+    _ArrayOps,
+    _channels,
+    _Dressed,
+    _flux_b,
+    _ScalarOps,
+)
 
 # Beyond this evanescent phase the transmission through the barrier-like
 # dressed channel underflows double precision; tau is then exactly 0.
@@ -140,8 +149,10 @@ def _scalar_inverse_denominator(k: float, params: SystemParams, channels) -> com
 def _scatter_closed_form(k: float, params: SystemParams, ops=_ScalarOps):
     """Closed-form (tau_a, tau_b, T_a, T_b, trusted) at k.
 
-    `trusted` is false where the result is degenerate, not finite, or breaks
-    the flux bound; the boundary-matching solve replaces it there.
+    `params` is a `SystemParams`, or with `_ArrayOps` a `_Dressed` record
+    with one element per element of k.  `trusted` is false where the result
+    is degenerate, not finite, or breaks the flux bound; the
+    boundary-matching solve replaces it there.
     """
     length = params.coupling_length
     # The dressed wavenumbers are fixed by the incident energy; evaluating
@@ -180,7 +191,7 @@ def _scatter_closed_form(k: float, params: SystemParams, ops=_ScalarOps):
     # [tau-(k)/ttau-(k,kb)] tau+(k_b)  -  [tau+(k_b)/ttau+(k,kb)] tau-(k)
     t1 = ops.where(ls_p < EVANESCENT_CUTOFF, (btm / bm_k) * exp_p / bp_b, 0.0)
     t2 = ops.where(ls_m < EVANESCENT_CUTOFF, (btp / bp_b) * exp_m / bm_k, 0.0)
-    pref = (math.sin(2.0 * params.theta) / 4.0) * (1.0 + k / kb)
+    pref = (ops.sin(2.0 * params.theta) / 4.0) * (1.0 + k / kb)
     tau_b = pref * (t1 - t2) * inv_d
 
     T_a = abs(tau_a) ** 2
@@ -233,6 +244,28 @@ def scatter(k: float, params: SystemParams) -> ScatteringResult:
     )
 
 
+def _array_transmissions(k: np.ndarray, dressed, params_at):
+    """`scatter`'s (T_a, T_b) at the points of the 1-d array k, in one closed-form call.
+
+    `dressed` is what the closed form reads (a `SystemParams` or a `_Dressed`
+    stack); each point i the guard rejects is recomputed by the
+    boundary-matching solve with its own `params_at(i)`.
+    """
+    with np.errstate(all="ignore"):
+        _, _, t_a, t_b, trusted = _scatter_closed_form(k, dressed, _ArrayOps)
+    for i in np.flatnonzero(~trusted):
+        res = _scatter_matching(float(k[i]), params_at(i))
+        t_a[i], t_b[i] = res.T_a, res.T_b
+    return t_a, t_b
+
+
+def _positive(k) -> np.ndarray:
+    k = np.asarray(k, dtype=float)
+    if not np.all(k > 0.0):
+        raise DomainError(f"incident wavenumbers must be > 0, got {k.min()}")
+    return k
+
+
 def transmissions(k, params: SystemParams) -> tuple[np.ndarray, np.ndarray]:
     """`scatter`'s (T_a, T_b) at every point of the array k, for one params.
 
@@ -242,20 +275,38 @@ def transmissions(k, params: SystemParams) -> tuple[np.ndarray, np.ndarray]:
     few ulp, because numpy's complex *, / and abs round differently from
     Python's.
     """
-    k = np.asarray(k, dtype=float)
-    if not np.all(k > 0.0):
-        raise DomainError(f"incident wavenumbers must be > 0, got {k.min()}")
+    k = _positive(k)
     flat = k.ravel()
     t_a = np.empty_like(flat)
     t_b = np.empty_like(flat)
-    trusted = np.empty(flat.shape, dtype=bool)
-    with np.errstate(all="ignore"):
-        for lo in range(0, flat.size, ARRAY_BLOCK):
-            block = slice(lo, lo + ARRAY_BLOCK)
-            _, _, t_a[block], t_b[block], trusted[block] = _scatter_closed_form(
-                flat[block], params, _ArrayOps
-            )
-    for i in np.flatnonzero(~trusted):
-        res = _scatter_matching(float(flat[i]), params)
-        t_a[i], t_b[i] = res.T_a, res.T_b
+    for lo in range(0, flat.size, ARRAY_BLOCK):
+        block = slice(lo, lo + ARRAY_BLOCK)
+        t_a[block], t_b[block] = _array_transmissions(
+            flat[block], params, lambda i: params
+        )
     return t_a.reshape(k.shape), t_b.reshape(k.shape)
+
+
+def stacked_transmissions(
+    k, params: Sequence[SystemParams]
+) -> tuple[np.ndarray, np.ndarray]:
+    """`scatter(k[i], params[i])`'s (T_a, T_b) for every i, as arrays.
+
+    Like `transmissions`, but each point has its own `SystemParams`: k is a
+    1-d array and params a sequence of the same length.  Evaluated in one
+    closed-form call per `ARRAY_BLOCK` points; a point the guard rejects
+    falls back alone, with its own params.
+    """
+    k = _positive(k)
+    if k.ndim != 1 or len(params) != k.size:
+        raise ValueError(
+            f"need one SystemParams per point, got {len(params)} for k of shape {k.shape}"
+        )
+    t_a = np.empty_like(k)
+    t_b = np.empty_like(k)
+    for lo in range(0, k.size, ARRAY_BLOCK):
+        block = slice(lo, lo + ARRAY_BLOCK)
+        t_a[block], t_b[block] = _array_transmissions(
+            k[block], _Dressed.stack(params[block]), lambda i: params[lo + i]
+        )
+    return t_a, t_b

@@ -14,6 +14,7 @@ from mazer.scattering import (
     _scatter_matching,
     inverse_denominator,
     scatter,
+    stacked_transmissions,
     tau_pm,
     transmissions,
 )
@@ -296,6 +297,65 @@ class TestTransmissions:
         res = scatter(float(ks[3]), params)
         assert matched == [ks[3]]
         assert (res.T_a, res.T_b) == (reference.T_a, reference.T_b)
+
+
+class TestStackedTransmissions:
+    """One params per point; the points of `oracle-check` take this path."""
+
+    @given(
+        points=st.lists(
+            st.tuples(
+                st.floats(min_value=-3.0, max_value=0.0).map(lambda e: 10.0 ** e),
+                st.floats(min_value=-500.0, max_value=10.0),
+                st.integers(min_value=0, max_value=3),
+                st.floats(min_value=2.0, max_value=4.0).map(lambda e: 10.0 ** e),
+            ),
+            min_size=1, max_size=16,
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_scatter_on_oracle_check_domain(self, points):
+        params = [SystemParams(d, kl, n) for _, d, n, kl in points]
+        t_a, t_b = stacked_transmissions(np.array([p[0] for p in points]), params)
+        for (k, *_), p, a, b in zip(points, params, t_a, t_b):
+            res = scatter(k, p)
+            assert abs(a - res.T_a) <= 1e-14
+            assert abs(b - res.T_b) <= 1e-14
+
+    def test_untrusted_element_falls_back_alone(self, monkeypatch):
+        ks = np.linspace(0.01, 0.15, 7)
+        params = [SystemParams(0.002 * i, KL200 + i, i % 3) for i in range(7)]
+        clean_a, clean_b = stacked_transmissions(ks, params)
+        real_inverse = scattering._inverse_denominator
+        real_matching = scattering._scatter_matching
+
+        def nan_denominator(k, p, channels, ops):
+            inv_d, nondegenerate = real_inverse(k, p, channels, ops)
+            inv_d = inv_d.copy()
+            inv_d[3] = np.nan
+            return inv_d, nondegenerate
+
+        matched = []
+
+        def matching(k, p):
+            matched.append((k, p))
+            return real_matching(k, p)
+
+        monkeypatch.setattr(scattering, "_inverse_denominator", nan_denominator)
+        monkeypatch.setattr(scattering, "_scatter_matching", matching)
+        t_a, t_b = stacked_transmissions(ks, params)
+        assert matched == [(ks[3], params[3])]
+        reference = real_matching(float(ks[3]), params[3])
+        assert (t_a[3], t_b[3]) == (reference.T_a, reference.T_b)
+        others = np.arange(len(ks)) != 3
+        assert np.array_equal(t_a[others], clean_a[others])
+        assert np.array_equal(t_b[others], clean_b[others])
+
+    def test_rejects_mismatched_or_nonpositive_points(self):
+        with pytest.raises(ValueError):
+            stacked_transmissions(np.array([0.05, 0.06]), [PARAMS0])
+        with pytest.raises(DomainError):
+            stacked_transmissions(np.array([0.05, -1.0]), [PARAMS0] * 2)
 
 
 class TestPhasesOncePerPoint:
