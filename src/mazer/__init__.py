@@ -10,7 +10,13 @@ from .core import (
     channel_wavenumbers,
     dressed_angle,
 )
-from .scattering import ScatteringResult, scatter, tau_pm, transmissions
+from .scattering import (
+    ScatteringResult,
+    scatter,
+    stacked_transmissions,
+    tau_pm,
+    transmissions,
+)
 from .ultracold import (
     ResonancePeak,
     catalog_in_window,
@@ -21,7 +27,7 @@ from .ultracold import (
     transmission_ultracold,
     ultracold_valid,
 )
-from .oracle import ModeFunction, SMatrixResult, convergence_check, solve
+from .oracle import ModeFunction, SMatrixResult, convergence_check, solve, solve_mesa
 from .pump import (
     PhotonDistribution,
     PumpParams,
@@ -61,6 +67,8 @@ __all__ = [
     "resonance_positions",
     "scatter",
     "solve",
+    "solve_mesa",
+    "stacked_transmissions",
     "stationary_distribution",
     "tau_pm",
     "transmission_ultracold",

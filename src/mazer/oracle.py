@@ -10,12 +10,12 @@ subspace for an arbitrary piecewise-constant cavity mode u(z):
 its local dressed eigenbasis; outgoing/decaying boundary conditions give a
 dense linear system for the reflection and transmission amplitudes.  The
 solver never uses the closed-form transmission formulas, so agreement with
-them is a genuine cross-check.
+them is a genuine cross-check.  `solve` takes one point; `solve_mesa` takes
+many mesa-mode points and solves their systems as one stack.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -27,15 +27,14 @@ from .core import DomainError, SystemParams
 CONDITION_LIMIT = 1e13
 
 
-def _sqrt_upper(x: float) -> complex:
+def _sqrt_upper(x: np.ndarray) -> np.ndarray:
     """Principal square root with the Im >= 0 branch for real radicands.
 
     Positive radicands give the positive real root; negative ones give a
     positive imaginary root, so evanescent waves exp(i k z) decay.
     """
-    if x >= 0.0:
-        return complex(math.sqrt(x), 0.0)
-    return complex(0.0, math.sqrt(-x))
+    root = np.sqrt(abs(x))
+    return np.where(x >= 0.0, root + 0j, 1j * root)
 
 
 class OracleSolveError(RuntimeError):
@@ -90,7 +89,8 @@ class SMatrixResult:
     """Reflection/transmission amplitudes into |a,n> and |b,n+1>.
 
     T_b is the transmitted flux k_b/k |t_b|^2 into |b,n+1>, with the
-    solver's own k_b; it is 0 when channel b is closed.
+    solver's own k_b; it is 0 when channel b is closed.  `solve` returns
+    numbers; `solve_mesa` returns an array over its points in each field.
     """
 
     r_a: complex
@@ -101,11 +101,119 @@ class SMatrixResult:
     flux_sum: float
 
 
-def _segment_basis(u: float, s: float, detuning_ratio: float):
-    """Eigenvalues and eigenvectors of the local 2x2 channel-coupling matrix."""
-    m = np.array([[0.0, s * u], [s * u, detuning_ratio]])
-    mu, vec = np.linalg.eigh(m)
-    return mu, vec
+def _result(k, kb_real, r_a, r_b, t_a, t_b) -> SMatrixResult:
+    """The amplitudes with their fluxes; on Python scalars or arrays alike."""
+    # kb_real is 0 on a closed channel b, so both b fluxes vanish there
+    flux_b = (kb_real / k) * (abs(r_b) ** 2 + abs(t_b) ** 2)
+    return SMatrixResult(
+        r_a=r_a,
+        r_b=r_b,
+        t_a=t_a,
+        t_b=t_b,
+        T_b=(kb_real / k) * abs(t_b) ** 2,
+        flux_sum=abs(r_a) ** 2 + abs(t_a) ** 2 + flux_b,
+    )
+
+
+def _solve_stack(segments, k: np.ndarray, params: Sequence[SystemParams]):
+    """(x, Re k_b): boundary-matching solutions at every (k[i], params[i]).
+
+    `segments` are the (length, value) pairs of one mode; a length may be an
+    array with one entry per point.  Each point's system is assembled along a
+    leading batch axis, and one eigh, one cond and one solve run over the
+    stack; the batch axis changes no element's arithmetic.  x[i] holds
+    (r_a, r_b, 4 coefficients per segment, t_a, t_b).
+    """
+    batch = len(k)
+    detuning = np.array([p.detuning_ratio for p in params], dtype=float)
+    s = np.sqrt(np.array([p.photon_number for p in params]) + 1.0)
+    kk = k * k
+    kb = _sqrt_upper(kk - detuning)
+    k_out = np.empty((batch, 2), dtype=complex)  # channel wavenumbers outside
+    k_out[:, 0] = k
+    k_out[:, 1] = kb
+
+    nseg = len(segments)
+    nunk = 4 + 4 * nseg  # r_a, r_b, 4 coefficients per segment, t_a, t_b
+    A = np.zeros((batch, nunk, nunk), dtype=complex)
+    rhs = np.zeros((batch, nunk), dtype=complex)
+
+    seg_data = []
+    for length, value in segments:
+        # the local 2x2 channel-coupling matrix, diagonalized per point
+        m = np.zeros((batch, 2, 2))
+        m[:, 0, 1] = m[:, 1, 0] = s * value
+        m[:, 1, 1] = detuning
+        mu, vec = np.linalg.eigh(m)
+        q = _sqrt_upper(kk[:, None] - mu)
+        expo = np.exp(1j * q * np.asarray(length)[..., None])  # decaying for evanescent q
+        seg_data.append((vec, q, expo))
+
+    def seg_cols(j: int) -> slice:
+        return slice(2 + 4 * j, 6 + 4 * j)
+
+    def seg_edge(j: int, at_right: bool):
+        """Value and derivative stacks (batch x 2 channels x 4 coefficients).
+
+        Coefficients 2i and 2i+1 belong to exp(+i q_i z) and exp(-i q_i z)
+        of eigenvector i, the columns of `vec`.
+        """
+        vec, q, expo = seg_data[j]
+        one = np.ones(q.shape)
+        if at_right:
+            fp, fm = expo, one  # exp(i q l), exp(-i q (l - l))
+            dp, dm = 1j * q * expo, -1j * q
+        else:
+            fp, fm = one, expo
+            dp, dm = 1j * q, -1j * q * expo
+        val = np.empty((batch, 2, 4), dtype=complex)
+        der = np.empty((batch, 2, 4), dtype=complex)
+        # each factor scales one eigenvector column, in both channel rows
+        val[:, :, 0::2] = vec * fp[:, None, :]
+        val[:, :, 1::2] = vec * fm[:, None, :]
+        der[:, :, 0::2] = vec * dp[:, None, :]
+        der[:, :, 1::2] = vec * dm[:, None, :]
+        return val, der
+
+    # rows come in fours: two channel values, then two channel derivatives;
+    # a unit diagonal of 2x2 blocks pairs channel ch with column ch
+    diag = [0, 1]
+    # left boundary: (1 + r_a, r_b) and derivatives match segment 0
+    val, der = seg_edge(0, at_right=False)
+    A[:, diag, diag] = -1.0
+    A[:, [2, 3], diag] = 1j * k_out  # d/dz of r exp(-i k z)
+    A[:, 0:2, seg_cols(0)] = val
+    A[:, 2:4, seg_cols(0)] = der
+    # the unit incoming wave in channel a: its value and its derivative
+    rhs[:, 0] = 1.0
+    rhs[:, 2] = 1j * k_out[:, 0]
+
+    # interior interfaces
+    for j in range(nseg - 1):
+        rows = slice(4 + 4 * j, 8 + 4 * j)
+        left = seg_edge(j, at_right=True)
+        right = seg_edge(j + 1, at_right=False)
+        A[:, rows, seg_cols(j)] = np.concatenate(left, axis=1)
+        A[:, rows, seg_cols(j + 1)] = -np.concatenate(right, axis=1)
+
+    # right boundary: segment N-1 matches (t_a, t_b) exp(i k_out (z - z_R))
+    val, der = seg_edge(nseg - 1, at_right=True)
+    t_cols = [nunk - 2, nunk - 1]
+    A[:, nunk - 4 : nunk - 2, seg_cols(nseg - 1)] = val
+    A[:, nunk - 2 :, seg_cols(nseg - 1)] = der
+    A[:, [nunk - 4, nunk - 3], t_cols] = -1.0
+    A[:, t_cols, t_cols] = -1j * k_out
+
+    cond = np.linalg.cond(A)
+    bad = np.flatnonzero(~(cond <= CONDITION_LIMIT))  # inf and nan fail too
+    if bad.size:
+        i = bad[0]
+        raise OracleSolveError(
+            f"ill-conditioned boundary system (cond={cond[i]:.3e}) at "
+            f"k={float(k[i])}, params={params[i]}"
+        )
+    # rhs as a stack of one-column matrices, so every numpy reads it alike
+    return np.linalg.solve(A, rhs[..., None])[..., 0], kb.real
 
 
 def solve(mode: ModeFunction, k: float, params: SystemParams) -> SMatrixResult:
@@ -118,98 +226,29 @@ def solve(mode: ModeFunction, k: float, params: SystemParams) -> SMatrixResult:
     """
     if not k > 0.0:
         raise DomainError(f"incident wavenumber must be > 0, got {k}")
-    s = math.sqrt(params.photon_number + 1.0)
-    kb = _sqrt_upper(k * k - params.detuning_ratio)
-    k_out = np.array([complex(k), kb])  # channel wavenumbers outside
+    x, kb_real = _solve_stack(mode.segments, np.array([k], dtype=float), (params,))
+    amplitudes = (complex(x[0, i]) for i in (0, 1, -2, -1))
+    return _result(k, float(kb_real[0]), *amplitudes)
 
-    nseg = len(mode.segments)
-    nunk = 4 + 4 * nseg  # r_a, r_b, 4 coefficients per segment, t_a, t_b
-    A = np.zeros((nunk, nunk), dtype=complex)
-    rhs = np.zeros(nunk, dtype=complex)
 
-    seg_data = []
-    for length, value in mode.segments:
-        mu, vec = _segment_basis(value, s, params.detuning_ratio)
-        q = np.array([_sqrt_upper(k * k - m) for m in mu])
-        expo = np.exp(1j * q * length)  # decaying for evanescent q
-        seg_data.append((vec, q, expo))
+def solve_mesa(k, params: Sequence[SystemParams]) -> SMatrixResult:
+    """`solve` for the mesa mode of each point, over arrays of points at once.
 
-    def seg_cols(j: int) -> slice:
-        return slice(2 + 4 * j, 6 + 4 * j)
-
-    def seg_edge(j: int, at_right: bool):
-        """Value and derivative matrices (2 channels x 4 coefficients)."""
-        vec, q, expo = seg_data[j]
-        val = np.zeros((2, 4), dtype=complex)
-        der = np.zeros((2, 4), dtype=complex)
-        for i in range(2):
-            v = vec[:, i]
-            if at_right:
-                fp, fm = expo[i], 1.0  # exp(i q l), exp(-i q (l - l))
-                dp, dm = 1j * q[i] * expo[i], -1j * q[i]
-            else:
-                fp, fm = 1.0, expo[i]
-                dp, dm = 1j * q[i], -1j * q[i] * expo[i]
-            val[:, 2 * i] = v * fp
-            val[:, 2 * i + 1] = v * fm
-            der[:, 2 * i] = v * dp
-            der[:, 2 * i + 1] = v * dm
-        return val, der
-
-    row = 0
-    # left boundary: (1 + r_a, r_b) and derivatives match segment 0
-    val, der = seg_edge(0, at_right=False)
-    for ch in range(2):
-        A[row, 0 if ch == 0 else 1] = -1.0 if ch == 0 else -1.0
-        A[row, seg_cols(0)] = val[ch]
-        rhs[row] = 1.0 if ch == 0 else 0.0
-        row += 1
-    for ch in range(2):
-        A[row, 0 if ch == 0 else 1] = 1j * k_out[ch]  # d/dz of r exp(-i k z)
-        A[row, seg_cols(0)] = der[ch]
-        rhs[row] = 1j * k_out[0] if ch == 0 else 0.0
-        row += 1
-
-    # interior interfaces
-    for j in range(nseg - 1):
-        val_l, der_l = seg_edge(j, at_right=True)
-        val_r, der_r = seg_edge(j + 1, at_right=False)
-        for ch in range(2):
-            A[row, seg_cols(j)] = val_l[ch]
-            A[row, seg_cols(j + 1)] = -val_r[ch]
-            row += 1
-        for ch in range(2):
-            A[row, seg_cols(j)] = der_l[ch]
-            A[row, seg_cols(j + 1)] = -der_r[ch]
-            row += 1
-
-    # right boundary: segment N-1 matches (t_a, t_b) exp(i k_out (z - z_R))
-    val, der = seg_edge(nseg - 1, at_right=True)
-    tcol = {0: nunk - 2, 1: nunk - 1}
-    for ch in range(2):
-        A[row, seg_cols(nseg - 1)] = val[ch]
-        A[row, tcol[ch]] = -1.0
-        row += 1
-    for ch in range(2):
-        A[row, seg_cols(nseg - 1)] = der[ch]
-        A[row, tcol[ch]] = -1j * k_out[ch]
-        row += 1
-
-    cond = np.linalg.cond(A)
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-        raise OracleSolveError(
-            f"ill-conditioned boundary system (cond={cond:.3e}) at "
-            f"k={k}, params={params}"
+    Point i is `solve(ModeFunction.mesa(params[i].coupling_length), k[i],
+    params[i])`, with the same t_a and t_b bit for bit; every field of the
+    result is an array over the points.  The first ill-conditioned point
+    raises `OracleSolveError` with its own k and params.
+    """
+    k = np.asarray(k, dtype=float)
+    if not np.all(k > 0.0):
+        raise DomainError(f"incident wavenumbers must be > 0, got {k.min()}")
+    if k.ndim != 1 or len(params) != k.size:
+        raise ValueError(
+            f"need one SystemParams per point, got {len(params)} for k of shape {k.shape}"
         )
-    x = np.linalg.solve(A, rhs)
-    r_a, r_b = complex(x[0]), complex(x[1])
-    t_a, t_b = complex(x[-2]), complex(x[-1])
-    flux_b = (kb.real / k) * (abs(r_b) ** 2 + abs(t_b) ** 2)
-    flux_sum = abs(r_a) ** 2 + abs(t_a) ** 2 + flux_b
-    T_b = (kb.real / k) * abs(t_b) ** 2 if kb.real > 0.0 else 0.0
-    return SMatrixResult(
-        r_a=r_a, r_b=r_b, t_a=t_a, t_b=t_b, T_b=T_b, flux_sum=flux_sum
-    )
+    lengths = np.array([p.coupling_length for p in params], dtype=float)
+    x, kb_real = _solve_stack(((lengths, 1.0),), k, params)
+    return _result(k, kb_real, x[:, 0], x[:, 1], x[:, -2], x[:, -1])
 
 
 def convergence_check(

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mazer import oracle
 from mazer.core import DomainError, SystemParams
-from mazer.oracle import ModeFunction, convergence_check, solve
+from mazer.oracle import ModeFunction, convergence_check, solve, solve_mesa
 from mazer.scattering import scatter
 
 KL = 1e3 * math.pi
@@ -87,6 +90,84 @@ class TestSolve:
     def test_nonpositive_k_rejected(self):
         with pytest.raises(DomainError):
             solve(ModeFunction.mesa(10.0), -1.0, SystemParams(0.0, 10.0, 0))
+
+
+# points of the `oracle-check` default domain: (k, delta/g, n, kappa L)
+ORACLE_CHECK_POINTS = st.lists(
+    st.tuples(
+        st.floats(min_value=-3.0, max_value=0.0).map(lambda e: 10.0 ** e),
+        st.floats(min_value=-500.0, max_value=10.0),
+        st.integers(min_value=0, max_value=3),
+        st.floats(min_value=2.0, max_value=4.0).map(lambda e: 10.0 ** e),
+    ),
+    min_size=1,
+    max_size=16,
+)
+
+
+STEP = ModeFunction.from_profile([(30.0, 1.0), (20.0, 0.6)])
+
+
+def step_batch(k, params):
+    x, kb_real = oracle._solve_stack(STEP.segments, k, params)
+    return oracle._result(k, kb_real, x[:, 0], x[:, 1], x[:, -2], x[:, -1])
+
+
+# (mode of one point, batch over all points)
+BATCHES = {
+    "mesa": (lambda p: ModeFunction.mesa(p.coupling_length), solve_mesa),
+    "step": (lambda p: STEP, step_batch),
+}
+
+
+def bits(z):
+    return np.ascontiguousarray(z, dtype=complex).view(float)
+
+
+class TestStackedSolve:
+    @pytest.mark.parametrize("mode", BATCHES)
+    @given(points=ORACLE_CHECK_POINTS)
+    @settings(max_examples=40, deadline=None)
+    def test_batch_equals_per_point_solve(self, mode, points):
+        mode_of, batch = BATCHES[mode]
+        k = np.array([p[0] for p in points])
+        params = [SystemParams(d, kl, n) for _, d, n, kl in points]
+        try:
+            ones = [solve(mode_of(p), float(ki), p) for ki, p in zip(k, params)]
+        except oracle.OracleSolveError as exc:
+            # the basis is singular at a channel threshold, e.g. k = 1, delta = 0, n = 0
+            with pytest.raises(oracle.OracleSolveError) as batch_exc:
+                batch(k, params)
+            assert str(batch_exc.value) == str(exc)
+            return
+        res = batch(k, params)
+        for i, one in enumerate(ones):
+            assert np.array_equal(bits([res.t_a[i], res.t_b[i]]), bits([one.t_a, one.t_b]))
+            # the fluxes go through numpy's abs here, Python's in `solve`
+            assert res.T_b[i] == pytest.approx(one.T_b, rel=1e-14, abs=1e-300)
+            assert res.flux_sum[i] == pytest.approx(one.flux_sum, rel=1e-14)
+
+    def test_first_ill_conditioned_point_is_reported(self, monkeypatch):
+        # boundary-system condition numbers about 7, 850, 7 and 870
+        points = [(0.05, -1.0, 0, 100.0), (0.01, -300.0, 0, 100.0),
+                  (0.05, -1.0, 2, 100.0), (0.05, -300.0, 0, 5000.0)]
+        k = np.array([p[0] for p in points])
+        params = [SystemParams(d, kl, n) for _, d, n, kl in points]
+        solve_mesa(k, params)  # all four pass the default limit
+        monkeypatch.setattr(oracle, "CONDITION_LIMIT", 100.0)
+        with pytest.raises(oracle.OracleSolveError) as exc:
+            solve(ModeFunction.mesa(100.0), 0.01, params[1])
+        with pytest.raises(oracle.OracleSolveError) as batch_exc:
+            solve_mesa(k, params)
+        assert str(batch_exc.value) == str(exc.value)
+        assert "k=0.01, params=SystemParams(detuning_ratio=-300.0" in str(exc.value)
+
+    def test_rejects_mismatched_or_nonpositive_points(self):
+        params = SystemParams(0.0, 10.0, 0)
+        with pytest.raises(ValueError):
+            solve_mesa(np.array([0.1, 0.2]), [params])
+        with pytest.raises(DomainError):
+            solve_mesa(np.array([0.1, 0.0]), [params] * 2)
 
 
 class TestConvergence:
