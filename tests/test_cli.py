@@ -5,8 +5,9 @@ import math
 
 import pytest
 
-from mazer import SystemParams, transmission_ultracold, ultracold_valid
+from mazer import SystemParams, oracle, transmission_ultracold, ultracold_valid
 from mazer.cli import PRESETS, build_parser, main
+from mazer.oracle import ModeFunction, OracleSolveError, solve
 from mazer.ultracold import peak_position, resonance_amplitude
 
 KL = 1e3 * math.pi
@@ -305,6 +306,42 @@ class TestOracleCheckAndErrors:
         assert rc == 0
         lines = read_lines(out)
         assert len(lines) == 26
+
+    def test_oracle_check_draw_order(self, capsys):
+        # recorded from the sample-by-sample loop that preceded block evaluation
+        assert main(["oracle-check", "--samples", "5", "--seed", "20040217"]) == 0
+        rows = [line.split(",")[:4] for line in capsys.readouterr().out.splitlines()]
+        assert rows == [
+            ["k", "delta", "n", "coupling_length"],
+            ["0.014687178218727488", "-2.2734765460140238", "0", "3853.3109830063395"],
+            ["0.03904697247572736", "-368.22675975336773", "1", "231.43613487425026"],
+            ["0.0096157508316417496", "-494.88010579818155", "0", "6550.4596996428509"],
+            ["0.039115991797318693", "-356.36525708828071", "0", "655.36193570691808"],
+            ["0.027004570376965881", "-369.91595811795617", "1", "1564.6568611027092"],
+        ]
+
+    def test_oracle_check_reports_first_ill_conditioned_sample(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        argv = ["oracle-check", "--samples", "200", "--seed", "5"]
+        good = tmp_path / "good.csv"
+        assert main(argv + ["--out", str(good)]) == 0
+        # about one sample in twenty has a boundary system worse than 1e3
+        monkeypatch.setattr(oracle, "CONDITION_LIMIT", 1e3)
+        failures = []
+        for line in read_lines(good)[1:]:
+            k, d, n, kl = line.split(",")[:4]
+            try:
+                solve(ModeFunction.mesa(float(kl)), float(k),
+                      SystemParams(float(d), float(kl), int(n)))
+            except OracleSolveError as exc:
+                failures.append(str(exc))
+        assert len(failures) >= 2
+        bad = tmp_path / "bad.csv"
+        capsys.readouterr()
+        assert main(argv + ["--out", str(bad)]) == 1
+        assert capsys.readouterr().err == f"mazer: error: {failures[0]}\n"
+        assert not bad.exists()
 
     def test_oracle_check_fails_absurd_tolerance(self, tmp_path):
         out = tmp_path / "oc.csv"
