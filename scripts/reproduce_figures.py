@@ -16,7 +16,7 @@ import argparse
 import sys
 import time
 
-from mazer.cli import PRESETS, main as mazer_main
+from mazer.cli import PRESETS, build_parser, main as mazer_main
 
 
 def run(argv=None) -> int:
@@ -31,7 +31,8 @@ def run(argv=None) -> int:
         "--g-hz",
         type=float,
         default=None,
-        help="coupling g as an angular rate in s^-1; adds Hz columns",
+        help="coupling g as an angular rate in s^-1; adds Hz columns to the "
+        "presets whose command takes it",
     )
     args = parser.parse_args(argv)
     names = args.figures or sorted(PRESETS)
@@ -48,7 +49,8 @@ def run(argv=None) -> int:
         subcommand = PRESETS[name]["command"]
         out = outdir / f"{name}.csv"
         cli_args = [subcommand, "--preset", name, "--out", str(out)]
-        if args.g_hz is not None:
+        takes_g_hz = "g_hz" in vars(build_parser().parse_args([subcommand]))
+        if args.g_hz is not None and takes_g_hz:
             cli_args += ["--g-hz", str(args.g_hz)]
         start = time.perf_counter()
         rc = mazer_main(cli_args)

@@ -24,6 +24,7 @@ from .ultracold import (
     loeffler_resonant,
     resonance_amplitude,
     resonance_positions,
+    stacked_transmission_ultracold,
     transmission_ultracold,
     ultracold_valid,
 )
@@ -68,6 +69,7 @@ __all__ = [
     "scatter",
     "solve",
     "solve_mesa",
+    "stacked_transmission_ultracold",
     "stacked_transmissions",
     "stationary_distribution",
     "tau_pm",

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
+import re
 import sys
 from typing import Iterable, Sequence
 
@@ -21,14 +23,14 @@ import numpy as np
 from .core import DomainError, SystemParams
 from .oracle import solve_mesa
 from .pump import PumpParams, mean_p_em, stationary_distribution
-from .scattering import ARRAY_BLOCK, scatter, stacked_transmissions, transmissions
+from .scattering import ARRAY_BLOCK, stacked_transmissions
 from .selection import final_distribution, maxwell_boltzmann_initial, refined_grid
 from .ultracold import (
     catalog_in_window,
     peak_position,
     resonance_amplitude,
     resonance_positions,
-    transmission_ultracold,
+    stacked_transmission_ultracold,
     ultracold_valid,
 )
 
@@ -195,40 +197,42 @@ def _read_config(path: str, sp: argparse.ArgumentParser) -> dict:
     return values
 
 
+def _sweep_points(args):
+    """(k, params) of each row, in row order; params are built as rows need them."""
+    if args.sweep == "delta":
+        if args.refine:
+            raise DomainError("--refine applies only to --sweep k")
+        for d in np.linspace(args.delta_min, args.delta_max, args.points).tolist():
+            yield args.k, SystemParams(d, args.coupling_length, args.photon_number)
+        return
+    for d in args.delta:
+        params = SystemParams(d, args.coupling_length, args.photon_number)
+        grid = np.linspace(args.k_min, args.k_max, args.points)
+        if args.refine and grid.size:
+            grid = refined_grid(grid, args.k_min, args.k_max, [params])
+        for k in grid.tolist():
+            yield k, params
+
+
 def cmd_transmission(args) -> int:
     columns = ["k", "delta", "T_a", "T_b", "T_total", "T_ultracold", "uc_valid"]
     if args.g_hz is not None:
         columns.append("delta_hz")
     rows = []
-    if args.sweep == "k":
-        for d in args.delta:
-            params = SystemParams(d, args.coupling_length, args.photon_number)
-            grid = np.linspace(args.k_min, args.k_max, args.points)
-            if args.refine and grid.size:
-                grid = refined_grid(grid, args.k_min, args.k_max, [params])
-            t_a, t_b = transmissions(grid, params)
-            for k, a, b in zip(grid, t_a, t_b):
-                rows.append(_transmission_row(float(k), d, params, a, b, args))
-    else:
-        if args.refine:
-            raise DomainError("--refine applies only to --sweep k")
-        # the parameters change on every row, so each row is one scalar call
-        for d in np.linspace(args.delta_min, args.delta_max, args.points):
-            params = SystemParams(float(d), args.coupling_length, args.photon_number)
-            res = scatter(args.k, params)
-            rows.append(
-                _transmission_row(args.k, float(d), params, res.T_a, res.T_b, args)
-            )
+    points = _sweep_points(args)
+    # one block's SystemParams at a time: holding all of them costs memory
+    while block := list(itertools.islice(points, ARRAY_BLOCK)):
+        ks, params = zip(*block)
+        ks = np.array(ks)
+        t_a, t_b = stacked_transmissions(ks, params)
+        t_uc = stacked_transmission_ultracold(ks, params)
+        for (k, p), a, b, uc in zip(block, t_a, t_b, t_uc):
+            row = [k, p.detuning_ratio, a, b, a + b, uc, ultracold_valid(k, p)]
+            if args.g_hz is not None:
+                row.append(p.detuning_ratio * args.g_hz / TWO_PI)
+            rows.append(row)
     _emit(columns, rows, args)
     return 0
-
-
-def _transmission_row(k: float, d: float, params: SystemParams, t_a, t_b, args):
-    t_uc = transmission_ultracold(k, params)
-    row = [k, d, t_a, t_b, t_a + t_b, t_uc, ultracold_valid(k, params)]
-    if args.g_hz is not None:
-        row.append(d * args.g_hz / TWO_PI)
-    return row
 
 
 def cmd_resonances(args) -> int:
@@ -360,19 +364,26 @@ def cmd_oracle_check(args) -> int:
     return 0
 
 
+# argparse of Python 3.10 and 3.11 reads only -5 and -.5 as negative numbers,
+# and -5e-3 as an unknown option
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def _add_common(sp: argparse.ArgumentParser, command: str) -> None:
+    sp._negative_number_matcher = _NEGATIVE_NUMBER
     presets = sorted(name for name, p in PRESETS.items() if p["command"] == command)
     if presets:
         sp.add_argument("--preset", choices=presets, help="named figure recipe")
     sp.add_argument("--config", help="key = value config file (keys = flag names)")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("--out", help="output path (default: stdout)")
-    sp.add_argument(
-        "--g-hz",
-        type=float,
-        default=None,
-        help="physical coupling g (angular rate, s^-1); adds Hz columns",
-    )
+    if command in ("transmission", "resonances", "amplitude"):
+        sp.add_argument(
+            "--g-hz",
+            type=float,
+            default=None,
+            help="physical coupling g (angular rate, s^-1); adds Hz columns",
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -515,8 +526,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             if any(isinstance(v, float) and not math.isfinite(v) for v in values):
                 flag = "--" + key.replace("_", "-")
                 raise DomainError(f"{flag} must be finite, got {value}")
-        if args.g_hz is not None and not args.g_hz > 0.0:
-            raise DomainError(f"--g-hz must be > 0, got {args.g_hz}")
+        g_hz = getattr(args, "g_hz", None)
+        if g_hz is not None and not g_hz > 0.0:
+            raise DomainError(f"--g-hz must be > 0, got {g_hz}")
         return args.func(args)
     except (DomainError, OSError, ValueError, ArithmeticError, RuntimeError) as exc:
         print(f"mazer: error: {exc}", file=sys.stderr)

@@ -15,7 +15,6 @@ it.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -73,16 +72,16 @@ def _sigma(kpm: complex, k_eval: complex) -> complex:
     return 0.5 * (kpm / k_eval + k_eval / kpm)
 
 
-def _tau(kpm: complex, k_eval: float, length: float) -> complex:
+def _tau(kpm: complex, k_eval: float, length: float, ops=_ScalarOps) -> complex:
     """Single-channel amplitude tau = 1 / (cos(kpm L) - i Sigma sin(kpm L)).
 
     For imaginary kpm the trigonometric factors turn hyperbolic
     automatically; past the underflow cutoff the amplitude is exactly 0.
     """
-    c, s, ls = _scaled_trig(kpm * length)
-    if ls > EVANESCENT_CUTOFF:
-        return 0.0 + 0.0j
-    return cmath.exp(-ls) / (c - 1j * _sigma(kpm, k_eval) * s)
+    c, s, ls = _scaled_trig(kpm * length, ops)
+    # past the cutoff this bracket is ~(1 +- Sigma)/2, so the unused branch is finite
+    tau = ops.exp(-ls) / (c - 1j * _sigma(kpm, k_eval) * s)
+    return ops.where(ls > EVANESCENT_CUTOFF, 0.0 + 0.0j, tau)
 
 
 def tau_pm(sign: str, k_eval: float, params: SystemParams) -> complex:
@@ -135,12 +134,7 @@ def inverse_denominator(k: float, params: SystemParams) -> complex:
     """
     if not k > 0.0:
         raise DomainError(f"incident wavenumber must be > 0, got {k}")
-    return _scalar_inverse_denominator(k, params, _channels(k, params))
-
-
-def _scalar_inverse_denominator(k: float, params: SystemParams, channels) -> complex:
-    """`inverse_denominator` from the caller's `_channels(k, params)`."""
-    inv_d, nondegenerate = _inverse_denominator(k, params, channels)
+    inv_d, nondegenerate = _inverse_denominator(k, params, _channels(k, params))
     if not nondegenerate:
         raise DegeneracyError(f"degenerate resonance denominator at k={k}")
     return inv_d
@@ -259,10 +253,15 @@ def _array_transmissions(k: np.ndarray, dressed, params_at):
     return t_a, t_b
 
 
-def _positive(k) -> np.ndarray:
+def _positive(k, params: Sequence[SystemParams] | None = None) -> np.ndarray:
+    """k as a float array of points > 0; with params, 1-d with one point per params."""
     k = np.asarray(k, dtype=float)
     if not np.all(k > 0.0):
         raise DomainError(f"incident wavenumbers must be > 0, got {k.min()}")
+    if params is not None and (k.ndim != 1 or len(params) != k.size):
+        raise ValueError(
+            f"need one SystemParams per point, got {len(params)} for k of shape {k.shape}"
+        )
     return k
 
 
@@ -297,11 +296,7 @@ def stacked_transmissions(
     closed-form call per `ARRAY_BLOCK` points; a point the guard rejects
     falls back alone, with its own params.
     """
-    k = _positive(k)
-    if k.ndim != 1 or len(params) != k.size:
-        raise ValueError(
-            f"need one SystemParams per point, got {len(params)} for k of shape {k.shape}"
-        )
+    k = _positive(k, params)
     t_a = np.empty_like(k)
     t_b = np.empty_like(k)
     for lo in range(0, k.size, ARRAY_BLOCK):

@@ -10,11 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
+import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
 from .core import DomainError, SystemParams, _channels, _is_open
-from .scattering import _scalar_inverse_denominator, _tau, tau_pm
+from .core import _ArrayOps, _Dressed, _ScalarOps
+from .scattering import DegeneracyError, _inverse_denominator, _positive, _tau, tau_pm
 
 # Operationalization of the paper-regime conditions "k << kappa_n sqrt(tan)"
 # and "exp(kappa_n L) >> 1"; reported as flags, never enforced.
@@ -47,17 +50,42 @@ def _branching(kb_ratio: float, params: SystemParams) -> float:
     return sin2 * (sin2 + kb_ratio * params.cos2_theta)
 
 
+def _transmission_ultracold(k, params: SystemParams, ops=_ScalarOps):
+    """(T, nondegenerate) at k, with T nan where degenerate.
+
+    `params` is a `SystemParams`, or with `_ArrayOps` a `_Dressed` record.
+    """
+    channels = _channels(k, params, ops)
+    k_b, k_minus, _ = channels
+    # k_b.real is exactly 0 for a closed channel
+    f = _branching(k_b.real / k, params)
+    inv_d, nondegenerate = _inverse_denominator(k, params, channels, ops)
+    tau2 = abs(_tau(k_minus, k, params.coupling_length, ops)) ** 2
+    return f * abs(inv_d) ** 2 * tau2, nondegenerate
+
+
 def transmission_ultracold(k: float, params: SystemParams) -> float:
     """T = f(theta_n) I(L) |tau_minus(k)|^2; `ultracold_valid` says where it holds."""
     if not k > 0.0:
         raise DomainError(f"incident wavenumber must be > 0, got {k}")
-    channels = _channels(k, params)
-    k_b, k_minus, _ = channels
-    # k_b.real is exactly 0 for a closed channel
-    f = _branching(k_b.real / k, params)
-    i_of_l = abs(_scalar_inverse_denominator(k, params, channels)) ** 2
-    tau2 = abs(_tau(k_minus, k, params.coupling_length)) ** 2
-    return f * i_of_l * tau2
+    value, nondegenerate = _transmission_ultracold(k, params)
+    if not nondegenerate:
+        raise DegeneracyError(f"degenerate resonance denominator at k={k}")
+    return value
+
+
+def stacked_transmission_ultracold(k, params: Sequence[SystemParams]) -> np.ndarray:
+    """`transmission_ultracold(k[i], params[i])` for every i, to ~1e-14 relative.
+
+    k and params are as for `stacked_transmissions`; the first degenerate k
+    raises, as in the scalar form.
+    """
+    k = _positive(k, params)
+    with np.errstate(all="ignore"):
+        value, ok = _transmission_ultracold(k, _Dressed.stack(params), _ArrayOps)
+    if not ok.all():
+        raise DegeneracyError(f"degenerate resonance denominator at k={k[~ok][0]}")
+    return value
 
 
 def loeffler_resonant(

@@ -5,8 +5,8 @@ import math
 
 import pytest
 
-from mazer import SystemParams, oracle, transmission_ultracold, ultracold_valid
-from mazer.cli import PRESETS, build_parser, main
+from mazer import SystemParams, oracle, scatter, transmission_ultracold, ultracold_valid
+from mazer.cli import PRESETS, _read_config, build_parser, main
 from mazer.oracle import ModeFunction, OracleSolveError, solve
 from mazer.ultracold import peak_position, resonance_amplitude
 
@@ -114,9 +114,44 @@ class TestDeterminismAndFormats:
             row = line.split(",")
             k, d = float(row[0]), float(row[1])
             params = SystemParams(d, KL, 0)
-            assert float(row[5]) == transmission_ultracold(k, params)
+            # the column comes from the array form, within 1e-14 of the scalar
+            assert float(row[5]) == pytest.approx(
+                transmission_ultracold(k, params), rel=1e-14, abs=0.0
+            )
             assert row[6] == ("1" if ultracold_valid(k, params) else "0")
             assert float(row[7]) == pytest.approx(d * 1e5 / (2 * math.pi), rel=1e-12)
+
+
+class TestTransmissionSweeps:
+    def test_delta_sweep_rows_match_scalar_forms(self, tmp_path):
+        out = tmp_path / "d.csv"
+        assert main([
+            "transmission", "--preset", "fig3a", "--points", "101", "--out", str(out),
+        ]) == 0
+        lines = read_lines(out)[1:]
+        assert len(lines) == 101
+        for line in lines:
+            k, d, t_a, t_b, _, t_uc, _ = (float(v) for v in line.split(","))
+            params = SystemParams(d, 1000.0, 0)
+            res = scatter(k, params)
+            assert t_a == pytest.approx(res.T_a, rel=1e-14, abs=0.0)
+            assert t_b == pytest.approx(res.T_b, rel=1e-14, abs=0.0)
+            assert t_uc == pytest.approx(
+                transmission_ultracold(k, params), rel=1e-14, abs=0.0
+            )
+
+    def test_row_does_not_depend_on_the_swept_axis(self, tmp_path):
+        a, b = tmp_path / "k.csv", tmp_path / "d.csv"
+        point = ["--coupling-length", "1000", "--points", "1"]
+        assert main([
+            "transmission", "--k-min", "0.05", "--k-max", "0.05", "--delta", "-2.5",
+            *point, "--out", str(a),
+        ]) == 0
+        assert main([
+            "transmission", "--sweep", "delta", "--k", "0.05",
+            "--delta-min", "-2.5", "--delta-max", "-2.5", *point, "--out", str(b),
+        ]) == 0
+        assert a.read_bytes() == b.read_bytes()
 
 
 class TestResonancesCommand:
@@ -170,11 +205,46 @@ class TestPresetsAndConfig:
         with pytest.raises(SystemExit):
             main(["pump", "--delta", "0", "0.005"])
 
-    def test_jacobian_is_a_select_flag(self):
+    def test_flags_are_registered_where_they_act(self):
         assert build_parser().parse_args(["select", "--jacobian"]).jacobian
+        for command in ("transmission", "resonances", "amplitude"):
+            assert build_parser().parse_args([command, "--g-hz", "1e5"]).g_hz == 1e5
+        for argv in (
+            ["pump", "--jacobian"],
+            # --g-hz adds Hz columns; these commands have none
+            ["pump", "--g-hz", "1e5"],
+            ["select", "--g-hz", "1e5"],
+            ["oracle-check", "--g-hz", "1e5"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2, argv
+
+    def test_negative_values_in_exponent_form(self, tmp_path, capsys):
+        a, b, c = (tmp_path / name for name in ("a.csv", "b.csv", "c.csv"))
+        base = ["transmission", "--points", "3"]
+        assert main([*base, "--delta", "-5e-3", "5e-3", "--out", str(a)]) == 0
+        assert main([*base, "--delta", "-0.005", "0.005", "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("delta = -5e-3 5e-3\npoints = 3\n")
+        assert main(["transmission", "--config", str(cfg), "--out", str(c)]) == 0
+        assert c.read_bytes() == b.read_bytes()
+        parser = build_parser()
+        assert parser.parse_args(["select", "--delta", "-2e-3"]).delta == [-2e-3]
+        parsed = parser.parse_args(["oracle-check", "--delta-min", "-1E+3"])
+        assert parsed.delta_min == -1e3
+        cfg.write_text("delta_min = -1e4\n")
+        sp = build_parser().parse_args(["oracle-check"]).subparser
+        assert _read_config(str(cfg), sp) == {"delta_min": -1e4}
+        # options are still options
         with pytest.raises(SystemExit) as exc:
-            main(["pump", "--jacobian"])
+            main(["transmission", "-x"])
         assert exc.value.code == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["transmission", "-h"])
+        assert exc.value.code == 0
+        assert "--delta-min" in capsys.readouterr().out
 
     def test_abbreviated_flag_overrides_preset(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -18,7 +18,7 @@ from mazer.scattering import (
     tau_pm,
     transmissions,
 )
-from mazer.ultracold import loeffler_resonant
+from mazer.ultracold import loeffler_resonant, stacked_transmission_ultracold
 
 KL = 1e3 * math.pi
 KL200 = 200.0 * math.pi
@@ -324,8 +324,13 @@ class TestStackedTransmissions:
 
     def test_untrusted_element_falls_back_alone(self, monkeypatch):
         ks = np.linspace(0.01, 0.15, 7)
-        params = [SystemParams(0.002 * i, KL200 + i, i % 3) for i in range(7)]
-        clean_a, clean_b = stacked_transmissions(ks, params)
+        deltas = np.linspace(-5.0, 5.0, 7).tolist()
+        cases = [
+            (ks, [SystemParams(0.002 * i, KL200 + i, i % 3) for i in range(7)]),
+            # a delta sweep, as `mazer transmission --sweep delta` passes it
+            (np.full(7, 0.05), [SystemParams(d, 1000.0, 0) for d in deltas]),
+        ]
+        clean = [stacked_transmissions(ks, params) for ks, params in cases]
         real_inverse = scattering._inverse_denominator
         real_matching = scattering._scatter_matching
 
@@ -343,19 +348,23 @@ class TestStackedTransmissions:
 
         monkeypatch.setattr(scattering, "_inverse_denominator", nan_denominator)
         monkeypatch.setattr(scattering, "_scatter_matching", matching)
-        t_a, t_b = stacked_transmissions(ks, params)
-        assert matched == [(ks[3], params[3])]
-        reference = real_matching(float(ks[3]), params[3])
-        assert (t_a[3], t_b[3]) == (reference.T_a, reference.T_b)
-        others = np.arange(len(ks)) != 3
-        assert np.array_equal(t_a[others], clean_a[others])
-        assert np.array_equal(t_b[others], clean_b[others])
+        for (ks, params), (clean_a, clean_b) in zip(cases, clean):
+            matched.clear()
+            t_a, t_b = stacked_transmissions(ks, params)
+            assert matched == [(ks[3], params[3])]
+            reference = real_matching(float(ks[3]), params[3])
+            assert (t_a[3], t_b[3]) == (reference.T_a, reference.T_b)
+            others = np.arange(len(ks)) != 3
+            assert np.array_equal(t_a[others], clean_a[others])
+            assert np.array_equal(t_b[others], clean_b[others])
 
     def test_rejects_mismatched_or_nonpositive_points(self):
-        with pytest.raises(ValueError):
-            stacked_transmissions(np.array([0.05, 0.06]), [PARAMS0])
-        with pytest.raises(DomainError):
-            stacked_transmissions(np.array([0.05, -1.0]), [PARAMS0] * 2)
+        # the array ultracold form takes the same points
+        for stacked in (stacked_transmissions, stacked_transmission_ultracold):
+            with pytest.raises(ValueError):
+                stacked(np.array([0.05, 0.06]), [PARAMS0])
+            with pytest.raises(DomainError):
+                stacked(np.array([0.05, -1.0]), [PARAMS0] * 2)
 
 
 class TestPhasesOncePerPoint:

@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mazer import ultracold
 from mazer.core import DomainError, SystemParams
-from mazer.scattering import scatter
+from mazer.scattering import DegeneracyError, scatter
 from mazer.ultracold import (
     analytic_position,
     catalog_in_window,
@@ -15,11 +17,13 @@ from mazer.ultracold import (
     loeffler_resonant,
     resonance_amplitude,
     resonance_positions,
+    stacked_transmission_ultracold,
     transmission_ultracold,
     ultracold_valid,
 )
 
 KL = 1e3 * math.pi
+KL200 = 200.0 * math.pi
 PARAMS0 = SystemParams(0.0, KL, 0)
 
 
@@ -67,6 +71,59 @@ class TestTransmissionUltracold:
     def test_nonpositive_k_rejected(self):
         with pytest.raises(DomainError):
             transmission_ultracold(0.0, PARAMS0)
+
+
+def assert_matches_scalar(ks, params):
+    values = stacked_transmission_ultracold(np.array(ks), params)
+    for k, p, value in zip(ks, params, values):
+        assert value == pytest.approx(
+            transmission_ultracold(k, p), rel=1e-14, abs=0.0
+        )
+
+
+class TestStackedTransmissionUltracold:
+    @given(
+        points=st.lists(
+            st.tuples(
+                st.floats(min_value=-3.0, max_value=0.0).map(lambda e: 10.0 ** e),
+                st.floats(min_value=-500.0, max_value=10.0),
+                st.integers(min_value=0, max_value=3),
+                st.floats(min_value=2.0, max_value=4.0).map(lambda e: 10.0 ** e),
+            ),
+            min_size=1, max_size=16,
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_scalar_on_oracle_check_domain(self, points):
+        params = [SystemParams(d, kl, n) for _, d, n, kl in points]
+        assert_matches_scalar([k for k, *_ in points], params)
+
+    def test_matches_scalar_on_fig4_catalogs(self):
+        # peak tops and flanks, where the transmission is steepest
+        for d in (-0.002, 0.0, 0.002, 0.005):
+            for n in (0, 3, 9):
+                params = SystemParams(d, KL200, n)
+                ks = [
+                    p.position + off * p.width
+                    for p in catalog_in_window(params, 0.2)
+                    for off in (-0.5, 0.0, 0.5)
+                ]
+                assert ks
+                assert_matches_scalar(ks, [params] * len(ks))
+
+    def test_first_degenerate_point_raises(self, monkeypatch):
+        real = ultracold._inverse_denominator
+
+        def degenerate_at_2_and_4(k, p, channels, ops):
+            inv_d, nondegenerate = real(k, p, channels, ops)
+            nondegenerate = nondegenerate.copy()
+            nondegenerate[[2, 4]] = False
+            return inv_d, nondegenerate
+
+        monkeypatch.setattr(ultracold, "_inverse_denominator", degenerate_at_2_and_4)
+        ks = np.linspace(0.01, 0.05, 5)
+        with pytest.raises(DegeneracyError, match=f"k={ks[2]}$"):
+            stacked_transmission_ultracold(ks, [PARAMS0] * 5)
 
 
 class TestLoeffler:
