@@ -13,7 +13,6 @@ from .core import (
 from .scattering import (
     ScatteringResult,
     scatter,
-    stacked_transmissions,
     tau_pm,
     transmissions,
 )
@@ -24,8 +23,8 @@ from .ultracold import (
     loeffler_resonant,
     resonance_amplitude,
     resonance_positions,
-    stacked_transmission_ultracold,
     transmission_ultracold,
+    transmissions_ultracold,
     ultracold_valid,
 )
 from .oracle import ModeFunction, SMatrixResult, convergence_check, solve, solve_mesa
@@ -69,11 +68,10 @@ __all__ = [
     "scatter",
     "solve",
     "solve_mesa",
-    "stacked_transmission_ultracold",
-    "stacked_transmissions",
     "stationary_distribution",
     "tau_pm",
     "transmission_ultracold",
     "transmissions",
+    "transmissions_ultracold",
     "ultracold_valid",
 ]

@@ -23,14 +23,14 @@ import numpy as np
 from .core import DomainError, SystemParams
 from .oracle import solve_mesa
 from .pump import PumpParams, mean_p_em, stationary_distribution
-from .scattering import ARRAY_BLOCK, stacked_transmissions
+from .scattering import ARRAY_BLOCK, transmissions
 from .selection import final_distribution, maxwell_boltzmann_initial, refined_grid
 from .ultracold import (
     catalog_in_window,
     peak_position,
     resonance_amplitude,
     resonance_positions,
-    stacked_transmission_ultracold,
+    transmissions_ultracold,
     ultracold_valid,
 )
 
@@ -224,8 +224,8 @@ def cmd_transmission(args) -> int:
     while block := list(itertools.islice(points, ARRAY_BLOCK)):
         ks, params = zip(*block)
         ks = np.array(ks)
-        t_a, t_b = stacked_transmissions(ks, params)
-        t_uc = stacked_transmission_ultracold(ks, params)
+        t_a, t_b = transmissions(ks, params)
+        t_uc = transmissions_ultracold(ks, params)
         for (k, p), a, b, uc in zip(block, t_a, t_b, t_uc):
             row = [k, p.detuning_ratio, a, b, a + b, uc, ultracold_valid(k, p)]
             if args.g_hz is not None:
@@ -346,7 +346,7 @@ def cmd_oracle_check(args) -> int:
         # the oracle first, so an ill-conditioned sample is reported before a
         # later sample's closed-form fallback meets the same system
         o = solve_mesa(ks, params)
-        t_a, t_b = stacked_transmissions(ks, params)
+        t_a, t_b = transmissions(ks, params)
         devs = np.stack(
             [abs(t_a - abs(o.t_a) ** 2), abs(t_b - o.T_b), abs(o.flux_sum - 1.0)],
             axis=-1,

@@ -120,17 +120,6 @@ def _p_em_array(k: np.ndarray, params: SystemParams) -> np.ndarray:
     return value
 
 
-def _emission_kernel(
-    params: SystemParams, kernel: Literal["ultracold", "exact"]
-) -> Callable[[np.ndarray], np.ndarray]:
-    """P_em on an array of k > 0: the ultracold form or the exact T_b."""
-    if kernel == "ultracold":
-        return lambda k: _p_em_array(k, params)
-    if kernel == "exact":
-        return lambda k: transmissions(k, params)[1]
-    raise ValueError(f"unknown emission kernel {kernel!r}")
-
-
 def mean_p_em(
     n: int,
     initial: "VelocityDistribution",
@@ -152,14 +141,18 @@ def mean_p_em(
     params = SystemParams(
         params_base.detuning_ratio, params_base.coupling_length, n
     )
-    p_em = _emission_kernel(params, kernel)
-    pi = initial.interpolator()
+    if kernel not in ("ultracold", "exact"):
+        raise ValueError(f"unknown emission kernel {kernel!r}")
 
     def integrand(k: np.ndarray) -> np.ndarray:
-        w = pi(k)  # nan outside the grid, and nan > 0.0 is False
+        w = initial.density_at(k)
         inside = w > 0.0
         out = np.zeros_like(k)
-        out[inside] = w[inside] * p_em(k[inside])
+        k = k[inside]
+        if kernel == "ultracold":
+            out[inside] = w[inside] * _p_em_array(k, params)
+        else:
+            out[inside] = w[inside] * transmissions(k, params)[1]
         return out
 
     lo = max(float(initial.grid[0]), 1e-12)
@@ -171,14 +164,16 @@ def mean_p_em(
             q = peak.position + off * max(peak.width, 1e-12)
             if lo < q < hi:
                 points.append(q)
+    points = sorted(set(points))
     value = qagp(
         integrand,
         lo,
         hi,
-        sorted(set(points)),
+        points,
         epsabs=QUAD_ABS_TOL,
         epsrel=1e-10,
-        limit=400,
+        # room to bisect each of the len(points) + 1 intervals at least once
+        limit=max(400, 2 * (len(points) + 1)),
     ).value
     if not math.isfinite(value):
         raise ArithmeticError(

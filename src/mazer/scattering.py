@@ -8,9 +8,9 @@ denominator is evaluated in cleared-fraction, exponentially scaled form so
 cot/tan poles and cosh overflows never materialize.
 
 The closed form is written once.  `scatter` evaluates it on Python scalars
-at one point; `transmissions` evaluates it over a numpy array of k for one
-parameter set, which is how sweeps and the velocity-selection pipeline use
-it.
+at one point; `transmissions` evaluates it over a numpy array of k, for one
+parameter set or one per point, which is how sweeps, `oracle-check` and the
+velocity-selection pipeline use it.
 """
 
 from __future__ import annotations
@@ -238,70 +238,51 @@ def scatter(k: float, params: SystemParams) -> ScatteringResult:
     )
 
 
-def _array_transmissions(k: np.ndarray, dressed, params_at):
-    """`scatter`'s (T_a, T_b) at the points of the 1-d array k, in one closed-form call.
+def _blockwise(k, params, evaluate):
+    """`evaluate(k, dressed, each)` over the points of k, `ARRAY_BLOCK` at a time.
 
-    `dressed` is what the closed form reads (a `SystemParams` or a `_Dressed`
-    stack); each point i the guard rejects is recomputed by the
-    boundary-matching solve with its own `params_at(i)`.
+    k (> 0) and params are as for `transmissions`.  `evaluate` gets a 1-d block
+    of k, what the closed form reads for it (params, or the block's
+    `_Dressed.stack`) and each point's `SystemParams`; it returns arrays over
+    the block, which come back joined in k's shape.
     """
-    with np.errstate(all="ignore"):
-        _, _, t_a, t_b, trusted = _scatter_closed_form(k, dressed, _ArrayOps)
-    for i in np.flatnonzero(~trusted):
-        res = _scatter_matching(float(k[i]), params_at(i))
-        t_a[i], t_b[i] = res.T_a, res.T_b
-    return t_a, t_b
-
-
-def _positive(k, params: Sequence[SystemParams] | None = None) -> np.ndarray:
-    """k as a float array of points > 0; with params, 1-d with one point per params."""
     k = np.asarray(k, dtype=float)
     if not np.all(k > 0.0):
         raise DomainError(f"incident wavenumbers must be > 0, got {k.min()}")
-    if params is not None and (k.ndim != 1 or len(params) != k.size):
+    single = isinstance(params, SystemParams)
+    if not single and (k.ndim != 1 or len(params) != k.size):
         raise ValueError(
             f"need one SystemParams per point, got {len(params)} for k of shape {k.shape}"
         )
-    return k
-
-
-def transmissions(k, params: SystemParams) -> tuple[np.ndarray, np.ndarray]:
-    """`scatter`'s (T_a, T_b) at every point of the array k, for one params.
-
-    The same closed form, evanescent cutoffs, threshold limit and guard as
-    `scatter`, applied elementwise; each point the guard rejects is
-    recomputed by the boundary-matching solve.  Agrees with `scatter` to a
-    few ulp, because numpy's complex *, / and abs round differently from
-    Python's.
-    """
-    k = _positive(k)
     flat = k.ravel()
-    t_a = np.empty_like(flat)
-    t_b = np.empty_like(flat)
-    for lo in range(0, flat.size, ARRAY_BLOCK):
-        block = slice(lo, lo + ARRAY_BLOCK)
-        t_a[block], t_b[block] = _array_transmissions(
-            flat[block], params, lambda i: params
-        )
-    return t_a.reshape(k.shape), t_b.reshape(k.shape)
+    blocks = []
+    # an empty k still makes one (empty) call, so that every output has an array
+    for lo in range(0, max(flat.size, 1), ARRAY_BLOCK):
+        block = flat[lo:lo + ARRAY_BLOCK]
+        each = [params] * block.size if single else params[lo:lo + ARRAY_BLOCK]
+        blocks.append(evaluate(block, params if single else _Dressed.stack(each), each))
+    return tuple(np.concatenate(out).reshape(k.shape) for out in zip(*blocks))
 
 
-def stacked_transmissions(
-    k, params: Sequence[SystemParams]
+def transmissions(
+    k, params: SystemParams | Sequence[SystemParams]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """`scatter(k[i], params[i])`'s (T_a, T_b) for every i, as arrays.
+    """`scatter`'s (T_a, T_b) at every point of the array k, as arrays shaped like k.
 
-    Like `transmissions`, but each point has its own `SystemParams`: k is a
-    1-d array and params a sequence of the same length.  Evaluated in one
-    closed-form call per `ARRAY_BLOCK` points; a point the guard rejects
-    falls back alone, with its own params.
+    params is one `SystemParams` for every point, or one per point of a 1-d
+    k.  The same closed form and guard as `scatter`, in one call per
+    `ARRAY_BLOCK` points; each point the guard rejects is recomputed alone
+    by the boundary-matching solve, with its own params.  Agrees with
+    `scatter` to 1e-14 absolute, not relative (numpy rounds complex *, / and
+    abs differently from Python, and cancellation in a small T_b magnifies it).
     """
-    k = _positive(k, params)
-    t_a = np.empty_like(k)
-    t_b = np.empty_like(k)
-    for lo in range(0, k.size, ARRAY_BLOCK):
-        block = slice(lo, lo + ARRAY_BLOCK)
-        t_a[block], t_b[block] = _array_transmissions(
-            k[block], _Dressed.stack(params[block]), lambda i: params[lo + i]
-        )
-    return t_a, t_b
+
+    def evaluate(k, dressed, each):
+        with np.errstate(all="ignore"):
+            _, _, t_a, t_b, trusted = _scatter_closed_form(k, dressed, _ArrayOps)
+        for i in np.flatnonzero(~trusted):
+            res = _scatter_matching(float(k[i]), each[i])
+            t_a[i], t_b[i] = res.T_a, res.T_b
+        return t_a, t_b
+
+    return _blockwise(k, params, evaluate)

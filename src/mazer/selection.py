@@ -110,8 +110,6 @@ def beam_transmissions(
     distribution's truncation; one `transmissions` call per photon state.
     """
     k = np.asarray(k, dtype=float)
-    if not np.all(k > 0.0):
-        raise DomainError(f"incident wavenumbers must be > 0, got {k.min()}")
     t_a = np.zeros_like(k)
     t_b = np.zeros_like(k)
     for weight, params in _populated_states(dist, params_base):

@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
 from .core import DomainError, SystemParams, _channels, _is_open
-from .core import _ArrayOps, _Dressed, _ScalarOps
-from .scattering import DegeneracyError, _inverse_denominator, _positive, _tau, tau_pm
+from .core import _ArrayOps, _ScalarOps
+from .scattering import DegeneracyError, _blockwise, _inverse_denominator, _tau, tau_pm
 
 # Operationalization of the paper-regime conditions "k << kappa_n sqrt(tan)"
 # and "exp(kappa_n L) >> 1"; reported as flags, never enforced.
@@ -74,18 +73,21 @@ def transmission_ultracold(k: float, params: SystemParams) -> float:
     return value
 
 
-def stacked_transmission_ultracold(k, params: Sequence[SystemParams]) -> np.ndarray:
-    """`transmission_ultracold(k[i], params[i])` for every i, to ~1e-14 relative.
+def transmissions_ultracold(k, params) -> np.ndarray:
+    """`transmission_ultracold` at every point of the array k, to ~1e-14 relative.
 
-    k and params are as for `stacked_transmissions`; the first degenerate k
-    raises, as in the scalar form.
+    k and params are as for `transmissions`; the first degenerate k raises,
+    as in the scalar form.
     """
-    k = _positive(k, params)
-    with np.errstate(all="ignore"):
-        value, ok = _transmission_ultracold(k, _Dressed.stack(params), _ArrayOps)
-    if not ok.all():
-        raise DegeneracyError(f"degenerate resonance denominator at k={k[~ok][0]}")
-    return value
+
+    def evaluate(k, dressed, each):
+        with np.errstate(all="ignore"):
+            value, ok = _transmission_ultracold(k, dressed, _ArrayOps)
+        if not ok.all():
+            raise DegeneracyError(f"degenerate resonance denominator at k={k[~ok][0]}")
+        return (value,)
+
+    return _blockwise(k, params, evaluate)[0]
 
 
 def loeffler_resonant(

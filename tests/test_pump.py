@@ -1,6 +1,7 @@
 """Induced emission, beam-averaged emission, stationary photon statistics."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from mazer.pump import (
     ConfigurationError,
     PhotonDistribution,
     PumpParams,
-    _emission_kernel,
     _p_em_array,
     mean_p_em,
     p_em_ultracold,
@@ -85,18 +85,36 @@ class TestPEmUltracold:
         with pytest.raises(DomainError):
             p_em_ultracold(0.0, SystemParams(0.0, KL200, 0))
 
-    def test_kernel_dispatch(self):
+    def test_kernel_dispatch(self, monkeypatch):
         # delta/g = 0.002 closes channel b below k = 0.0447
         params = SystemParams(0.002, KL200, 3)
-        ks = np.linspace(0.01, 0.15, 57)
-        exact = _emission_kernel(params, "exact")(ks)
-        assert np.array_equal(exact, transmissions(ks, params)[1])
-        ultracold = _emission_kernel(params, "ultracold")(ks)
-        for k, u, e in zip(ks, ultracold, exact):
+        init = maxwell_boltzmann_initial(0.05, np.linspace(0.0, 0.2, 1001))
+        integrands = []
+
+        def capture(f, *args, **tols):
+            integrands.append(f)
+            return SimpleNamespace(value=0.0)
+
+        monkeypatch.setattr(pump, "qagp", capture)
+        for kernel in ("ultracold", "exact"):
+            mean_p_em(3, init, SystemParams(0.002, KL200, 0), kernel)
+        # the last point lies past the grid, where the beam has no atoms
+        ks = np.append(np.linspace(0.01, 0.15, 57), 0.25)
+        w = init.density_at(ks)
+        inside = w > 0.0
+        assert not inside[-1] and inside[:-1].all()
+        ultracold, exact = (f(ks) for f in integrands)
+        assert np.all(ultracold[~inside] == 0.0) and np.all(exact[~inside] == 0.0)
+        ks, w = ks[inside], w[inside]
+        p_em = _p_em_array(ks, params)
+        t_b = transmissions(ks, params)[1]
+        assert np.array_equal(ultracold[inside], w * p_em)
+        assert np.array_equal(exact[inside], w * t_b)
+        for k, u, e in zip(ks, p_em, t_b):
             assert abs(u - p_em_ultracold(float(k), params)) <= 1e-14
             assert abs(e - scatter(float(k), params).T_b) <= 1e-14
         with pytest.raises(ValueError):
-            _emission_kernel(params, "nope")
+            mean_p_em(3, init, SystemParams(0.002, KL200, 0), "nope")
 
 
 def assert_array_matches_scalar(ks, params):

@@ -31,6 +31,40 @@ def extrapolated(value, info) -> bool:
     return abs(value - math.fsum(info["rlist"][: info["last"]])) > 1e-12
 
 
+def port_and_quad(monkeypatch, delta, n, kl):
+    """Check `mean_p_em`'s QAGP call against quad on the same interval.
+
+    quad integrates the scalar form of the integrand, with the breakpoints
+    and tolerances `mean_p_em` passed to the port.  Returns those
+    breakpoints and tolerances, and quad's value and infodict.
+    """
+    calls = []
+
+    def spy(f, a, b, points, **tols):
+        calls.append((f, a, b, points, tols))
+        return qagp(f, a, b, points, **tols)
+
+    monkeypatch.setattr(pump, "qagp", spy)
+    grid = np.linspace(0.0, 0.2, 1001)
+    init = maxwell_boltzmann_initial(0.05, grid)
+    mean = pump.mean_p_em(n, init, SystemParams(delta, kl, 0))
+    ((f, a, b, points, tols),) = calls
+    assert points and tols["epsabs"] == pump.QUAD_ABS_TOL
+    params = SystemParams(delta, kl, n)
+    density = init.interpolator()
+
+    def scalar_integrand(k: float) -> float:
+        w = float(density(k))
+        return w * pump.p_em_ultracold(k, params) if w > 0.0 else 0.0
+
+    value, _, info = quad_info(scalar_integrand, a, b, points, **tols)
+    ours = qagp(f, a, b, points, **tols)
+    assert (ours.neval, ours.last) == (info["neval"], info["last"])
+    # the array P_em rounds a few ulp away from the scalar one
+    assert ours.value == mean == pytest.approx(value, rel=1e-14)
+    return points, tols, value, info
+
+
 class TestFig4Integrand:
     # (delta/g, n) of the fig-4 config, and whether quad's result there is
     # the epsilon-extrapolated value (1.3e-9 and 5.8e-9 from the plain sum)
@@ -39,31 +73,15 @@ class TestFig4Integrand:
         [(-0.002, 1, False), (0.0, 4, False), (0.002, 2, True), (0.005, 35, True)],
     )
     def test_matches_quad_on_mean_p_em(self, monkeypatch, delta, n, extrapolates):
-        calls = []
-
-        def spy(f, a, b, points, **tols):
-            calls.append((f, a, b, points, tols))
-            return qagp(f, a, b, points, **tols)
-
-        monkeypatch.setattr(pump, "qagp", spy)
-        grid = np.linspace(0.0, 0.2, 1001)
-        init = maxwell_boltzmann_initial(0.05, grid)
-        mean = pump.mean_p_em(n, init, SystemParams(delta, KL200, 0))
-        ((f, a, b, points, tols),) = calls
-        assert points and tols["epsabs"] == pump.QUAD_ABS_TOL
-        params = SystemParams(delta, KL200, n)
-        density = init.interpolator()
-
-        def scalar_integrand(k: float) -> float:
-            w = float(density(k))
-            return w * pump.p_em_ultracold(k, params) if w > 0.0 else 0.0
-
-        value, _, info = quad_info(scalar_integrand, a, b, points, **tols)
-        ours = qagp(f, a, b, points, **tols)
-        assert (ours.neval, ours.last) == (info["neval"], info["last"])
-        # the array P_em rounds a few ulp away from the scalar one
-        assert ours.value == mean == pytest.approx(value, rel=1e-14)
+        points, tols, value, info = port_and_quad(monkeypatch, delta, n, KL200)
+        assert tols["limit"] == 400
         assert extrapolated(value, info) == extrapolates
+
+    def test_matches_quad_past_400_breakpoints(self, monkeypatch):
+        # kappa L = 25000 puts 473 breakpoints in the fig-4 window, more than
+        # a limit of 400 subintervals admits
+        points, tols, _, _ = port_and_quad(monkeypatch, 0.0, 0, 25000.0)
+        assert (len(points), tols["limit"]) == (473, 948)
 
 
 class TestClassicIntegrands:

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mazer import scattering
@@ -14,11 +14,10 @@ from mazer.scattering import (
     _scatter_matching,
     inverse_denominator,
     scatter,
-    stacked_transmissions,
     tau_pm,
     transmissions,
 )
-from mazer.ultracold import loeffler_resonant, stacked_transmission_ultracold
+from mazer.ultracold import loeffler_resonant, transmissions_ultracold
 
 KL = 1e3 * math.pi
 KL200 = 200.0 * math.pi
@@ -208,6 +207,8 @@ class TestTransmissions:
         n=st.integers(min_value=0, max_value=3),
         kl=st.floats(min_value=2.0, max_value=4.0).map(lambda e: 10.0 ** e),
     )
+    # a small T_b whose array and scalar values differ by 1.31e-14 relative
+    @example(ks=[0.3], delta=np.linspace(-50, 50, 3001)[119], n=3, kl=5000.0)
     @settings(max_examples=100, deadline=None)
     def test_matches_scatter_on_oracle_check_domain(self, ks, delta, n, kl):
         assert_matches_scatter(ks, SystemParams(delta, kl, n))
@@ -241,6 +242,8 @@ class TestTransmissions:
         assert t_a.shape == t_b.shape == ()
         assert t_a == pytest.approx(scatter(0.05, PARAMS0).T_a, abs=1e-14)
         assert transmissions(np.array([]), PARAMS0)[0].size == 0
+        assert transmissions(np.array([]), [])[1].size == 0
+        assert transmissions_ultracold(0.05, PARAMS0).shape == ()
         with pytest.raises(DomainError):
             transmissions(np.array([0.05, 0.0]), PARAMS0)
 
@@ -251,6 +254,11 @@ class TestTransmissions:
         params = SystemParams(0.002, KL200, 2)
         ks = np.linspace(0.01, 0.15, 7)
         clean_a, clean_b = transmissions(ks, params)
+        # the same object once per point takes the stacked path, bit for bit
+        per_point = [params] * len(ks)
+        stacked_a, stacked_b = transmissions(ks, per_point)
+        assert np.array_equal(stacked_a, clean_a)
+        assert np.array_equal(stacked_b, clean_b)
         real_inverse = scattering._inverse_denominator
         real_channels = scattering._channels
         real_matching = scattering._scatter_matching
@@ -285,13 +293,23 @@ class TestTransmissions:
         else:
             monkeypatch.setattr(scattering, "_channels", zero_k_plus)
         monkeypatch.setattr(scattering, "_scatter_matching", matching)
-        t_a, t_b = transmissions(ks, params)
-        assert matched == [ks[3]]
+        # a single SystemParams is read as it is, never stacked
+        stacked = []
+        real_stack = scattering._Dressed.stack
+        monkeypatch.setattr(
+            scattering._Dressed, "stack", lambda ps: stacked.append(ps) or real_stack(ps)
+        )
         reference = real_matching(float(ks[3]), params)
-        assert (t_a[3], t_b[3]) == (reference.T_a, reference.T_b)
         others = np.arange(len(ks)) != 3
-        assert np.array_equal(t_a[others], clean_a[others])
-        assert np.array_equal(t_b[others], clean_b[others])
+        for given in (params, per_point):
+            matched.clear()
+            stacked.clear()
+            t_a, t_b = transmissions(ks, given)
+            assert matched == [ks[3]]
+            assert stacked == ([] if given is params else [per_point])
+            assert (t_a[3], t_b[3]) == (reference.T_a, reference.T_b)
+            assert np.array_equal(t_a[others], clean_a[others])
+            assert np.array_equal(t_b[others], clean_b[others])
         # the scalar path falls back the same way, once
         matched.clear()
         res = scatter(float(ks[3]), params)
@@ -300,7 +318,8 @@ class TestTransmissions:
 
 
 class TestStackedTransmissions:
-    """One params per point; the points of `oracle-check` take this path."""
+    """`transmissions` with one params per point, stacked by `_Dressed.stack`;
+    the points of `oracle-check` and of every `transmission` sweep take this path."""
 
     @given(
         points=st.lists(
@@ -316,7 +335,7 @@ class TestStackedTransmissions:
     @settings(max_examples=100, deadline=None)
     def test_matches_scatter_on_oracle_check_domain(self, points):
         params = [SystemParams(d, kl, n) for _, d, n, kl in points]
-        t_a, t_b = stacked_transmissions(np.array([p[0] for p in points]), params)
+        t_a, t_b = transmissions(np.array([p[0] for p in points]), params)
         for (k, *_), p, a, b in zip(points, params, t_a, t_b):
             res = scatter(k, p)
             assert abs(a - res.T_a) <= 1e-14
@@ -330,7 +349,7 @@ class TestStackedTransmissions:
             # a delta sweep, as `mazer transmission --sweep delta` passes it
             (np.full(7, 0.05), [SystemParams(d, 1000.0, 0) for d in deltas]),
         ]
-        clean = [stacked_transmissions(ks, params) for ks, params in cases]
+        clean = [transmissions(ks, params) for ks, params in cases]
         real_inverse = scattering._inverse_denominator
         real_matching = scattering._scatter_matching
 
@@ -350,7 +369,7 @@ class TestStackedTransmissions:
         monkeypatch.setattr(scattering, "_scatter_matching", matching)
         for (ks, params), (clean_a, clean_b) in zip(cases, clean):
             matched.clear()
-            t_a, t_b = stacked_transmissions(ks, params)
+            t_a, t_b = transmissions(ks, params)
             assert matched == [(ks[3], params[3])]
             reference = real_matching(float(ks[3]), params[3])
             assert (t_a[3], t_b[3]) == (reference.T_a, reference.T_b)
@@ -360,11 +379,13 @@ class TestStackedTransmissions:
 
     def test_rejects_mismatched_or_nonpositive_points(self):
         # the array ultracold form takes the same points
-        for stacked in (stacked_transmissions, stacked_transmission_ultracold):
+        for evaluate in (transmissions, transmissions_ultracold):
             with pytest.raises(ValueError):
-                stacked(np.array([0.05, 0.06]), [PARAMS0])
+                evaluate(np.array([0.05, 0.06]), [PARAMS0])
+            with pytest.raises(ValueError):
+                evaluate(np.full((2, 2), 0.05), [PARAMS0] * 4)
             with pytest.raises(DomainError):
-                stacked(np.array([0.05, -1.0]), [PARAMS0] * 2)
+                evaluate(np.array([0.05, -1.0]), [PARAMS0] * 2)
 
 
 class TestPhasesOncePerPoint:

@@ -17,8 +17,8 @@ from mazer.ultracold import (
     loeffler_resonant,
     resonance_amplitude,
     resonance_positions,
-    stacked_transmission_ultracold,
     transmission_ultracold,
+    transmissions_ultracold,
     ultracold_valid,
 )
 
@@ -74,7 +74,7 @@ class TestTransmissionUltracold:
 
 
 def assert_matches_scalar(ks, params):
-    values = stacked_transmission_ultracold(np.array(ks), params)
+    values = transmissions_ultracold(np.array(ks), params)
     for k, p, value in zip(ks, params, values):
         assert value == pytest.approx(
             transmission_ultracold(k, p), rel=1e-14, abs=0.0
@@ -82,6 +82,8 @@ def assert_matches_scalar(ks, params):
 
 
 class TestStackedTransmissionUltracold:
+    """`transmissions_ultracold`, mostly with one params per point."""
+
     @given(
         points=st.lists(
             st.tuples(
@@ -109,7 +111,13 @@ class TestStackedTransmissionUltracold:
                     for off in (-0.5, 0.0, 0.5)
                 ]
                 assert ks
-                assert_matches_scalar(ks, [params] * len(ks))
+                per_point = [params] * len(ks)
+                assert_matches_scalar(ks, per_point)
+                # one SystemParams for every point gives the same bits
+                assert np.array_equal(
+                    transmissions_ultracold(np.array(ks), params),
+                    transmissions_ultracold(np.array(ks), per_point),
+                )
 
     def test_first_degenerate_point_raises(self, monkeypatch):
         real = ultracold._inverse_denominator
@@ -122,8 +130,9 @@ class TestStackedTransmissionUltracold:
 
         monkeypatch.setattr(ultracold, "_inverse_denominator", degenerate_at_2_and_4)
         ks = np.linspace(0.01, 0.05, 5)
-        with pytest.raises(DegeneracyError, match=f"k={ks[2]}$"):
-            stacked_transmission_ultracold(ks, [PARAMS0] * 5)
+        for params in ([PARAMS0] * 5, PARAMS0):
+            with pytest.raises(DegeneracyError, match=f"k={ks[2]}$"):
+                transmissions_ultracold(ks, params)
 
 
 class TestLoeffler:
