@@ -1,0 +1,221 @@
+"""Brent's root finder and bounded minimizer, ported from scipy.optimize.
+
+Brent, *Algorithms for Minimization without Derivatives* (Prentice-Hall,
+1973), chapters 4 and 5.  `brentq` is a statement-for-statement port of
+scipy's C `brentq.c` with its Python wrapper's checks; `minimize_bounded`
+ports `_minimize_scalar_bounded` (Forsythe, Malcolm and Moler's `fmin`)
+and returns its `x` without the `OptimizeResult` wrapper.  Both take the
+decisions scipy takes, so they return the same floats bit for bit.
+
+The two differ in the type of the abscissae they hand to the function,
+and so do these ports: the C root finder passes Python floats, while the
+minimizer's iterates are `np.float64` (its constants come from `np.sqrt`).
+The ultracold closed forms round differently for the two types, so the
+minimizer keeps numpy's scalars.
+"""
+
+from __future__ import annotations
+
+import math
+import operator
+from typing import Callable
+
+import numpy as np
+
+_RTOL_MIN = 4 * np.finfo(float).eps
+
+
+def brentq(
+    f: Callable[[float], float],
+    xa: float,
+    xb: float,
+    xtol: float = 2e-12,
+    rtol: float = _RTOL_MIN,
+    maxiter: int = 100,
+) -> float:
+    """A root of f in [xa, xb], where f(xa) and f(xb) differ in sign.
+
+    Converged when |x - x0| <= xtol + rtol |x0|.  Raises ValueError for a
+    bracket without a sign change or a nan value of f, and RuntimeError
+    after maxiter iterations.
+    """
+    maxiter = operator.index(maxiter)
+    if xtol <= 0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+    if rtol < _RTOL_MIN:
+        raise ValueError(f"rtol too small ({rtol:g} < {_RTOL_MIN:g})")
+
+    def call(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(
+                f"The function value at x={x} is NaN; solver cannot continue."
+            )
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre = call(xpre)
+    fcur = call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        opposite = math.copysign(1.0, fpre) != math.copysign(1.0, fcur)
+        if fpre != 0 and fcur != 0 and opposite:
+            xblk = xpre
+            fblk = fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre = xcur
+            xcur = xblk
+            xblk = xpre
+
+            fpre = fcur
+            fcur = fblk
+            fblk = fpre
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (
+                    -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                )
+            bound = 3 * abs(sbis) - delta
+            if 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
+                # good short step
+                spre = scur
+                scur = stry
+            else:
+                # bisect
+                spre = sbis
+                scur = sbis
+        else:
+            # bisect
+            spre = sbis
+            scur = sbis
+
+        xpre = xcur
+        fpre = fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+
+        fcur = call(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+
+
+def minimize_bounded(
+    func: Callable[[float], float],
+    bounds: tuple[float, float],
+    xatol: float = 1e-5,
+    maxiter: int = 500,
+) -> np.float64:
+    """The x in bounds at which func is least, to xatol, by golden section
+    and parabolic interpolation.  Stops quietly after maxiter evaluations."""
+    if len(bounds) != 2:
+        raise ValueError("bounds must have two elements.")
+    x1, x2 = bounds
+    if not all(np.size(x) == 1 and np.isfinite(x) for x in bounds):
+        raise ValueError("Optimization bounds must be finite scalars.")
+    if x1 > x2:
+        raise ValueError("The lower bound exceeds the upper bound.")
+
+    sqrt_eps = np.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - np.sqrt(5.0))
+    a, b = x1, x2
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    x = xf
+    fx = func(x)
+    num = 1
+
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+
+    while np.abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = 1
+        # Check for parabolic fit
+        if np.abs(e) > tol1:
+            golden = 0
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = np.abs(q)
+            r = e
+            e = rat
+
+            # Check for acceptability of parabola
+            if (
+                (np.abs(p) < np.abs(0.5 * q * r))
+                and (p > q * (a - xf))
+                and (p < q * (b - xf))
+            ):
+                rat = (p + 0.0) / q
+                x = xf + rat
+
+                if ((x - a) < tol2) or ((b - x) < tol2):
+                    si = np.sign(xm - xf) + ((xm - xf) == 0)
+                    rat = tol1 * si
+            else:  # do a golden-section step
+                golden = 1
+
+        if golden:  # do a golden-section step
+            if xf >= xm:
+                e = a - xf
+            else:
+                e = b - xf
+            rat = golden_mean * e
+
+        si = np.sign(rat) + (rat == 0)
+        x = xf + si * np.maximum(np.abs(rat), tol1)
+        fu = func(x)
+        num += 1
+
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if (fu <= fnfc) or (nfc == xf):
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
+                fulc, ffulc = x, fu
+
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+
+        if num >= maxiter:
+            break
+
+    return xf

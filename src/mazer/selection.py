@@ -15,7 +15,6 @@ from functools import cached_property
 from typing import Iterable
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .core import DomainError, SystemParams
 from .pump import PhotonDistribution
@@ -25,6 +24,68 @@ from .ultracold import catalog_in_window
 # Populated photon states below this weight contribute nothing visible.
 POPULATION_CUTOFF = 1e-9
 POINTS_PER_WIDTH = 20
+
+
+def _pchip_end_slope(h0, h1, m0, m1):
+    """One-sided three-point end slope, set to 0 or 3 m0 where it breaks the shape."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and np.abs(d) > 3.0 * np.abs(m0):
+        return 3.0 * m0
+    return d
+
+
+class _Pchip:
+    """Monotone cubic Hermite interpolant through (x, y), nan outside [x[0], x[-1]].
+
+    Fritsch & Carlson, SIAM J. Numer. Anal. 17, 238 (1980), with the
+    harmonic-mean slopes of Fritsch & Butland, SIAM J. Sci. Stat. Comput. 5,
+    300 (1984), and the end slopes of Moler, *Numerical Computing with
+    MATLAB*, sec. 3.6.  The slopes, coefficients and evaluation follow
+    scipy's `PchipInterpolator(extrapolate=False)` operation for operation,
+    so the values are the same floats.
+    """
+
+    def __init__(self, x: np.ndarray, y: np.ndarray) -> None:
+        h = np.diff(x)
+        m = np.diff(y) / h
+        d = np.zeros_like(y)
+        if len(x) == 2:
+            d[:] = m[0]
+        else:
+            w1 = 2 * h[1:] + h[:-1]
+            w2 = h[1:] + 2 * h[:-1]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+            sign = np.sign(m)
+            smooth = (sign[1:] == sign[:-1]) & (m[1:] != 0) & (m[:-1] != 0)
+            d[1:-1][smooth] = 1.0 / whmean[smooth]
+            d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
+            d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+        t = (d[:-1] + d[1:] - 2 * m) / h
+        self._lo, self._hi, self._inner = x[0], x[-1], x[1:-1]
+        # rows: on each interval, the coefficients of s^3, s^2 and s, then
+        # 0.0 + the constant (the start of scipy's PPoly sum) and the left end
+        # x_i, with s = k - x_i
+        self._pieces = np.stack(
+            (t / h, (m - d[:-1]) / h - t, d[:-1], 0.0 + y[:-1], x[:-1])
+        )
+
+    def __call__(self, k) -> np.ndarray:
+        k = np.asarray(k, dtype=float)
+        inside = (k >= self._lo) & (k <= self._hi)
+        if not inside.all():
+            out = np.full(k.shape, np.nan)
+            out[inside] = self(k[inside])
+            return out
+        # interval i holds x_i <= k < x_{i+1}, and the last one also k = x[-1]
+        i = self._inner.searchsorted(k, "right")
+        c3, c2, c1, c0, x = self._pieces.take(i, axis=1)
+        s = k - x
+        s2 = s * s
+        # summed in ascending powers, as PPoly does
+        return c0 + c1 * s + c2 * s2 + c3 * (s2 * s)
 
 
 @dataclass(frozen=True)
@@ -54,12 +115,10 @@ class VelocityDistribution:
         return float(np.trapezoid(np.asarray(self.density), np.asarray(self.grid)))
 
     @cached_property
-    def _pchip(self) -> PchipInterpolator:
-        return PchipInterpolator(
-            np.asarray(self.grid), np.asarray(self.density), extrapolate=False
-        )
+    def _pchip(self) -> _Pchip:
+        return _Pchip(np.asarray(self.grid), np.asarray(self.density))
 
-    def interpolator(self) -> PchipInterpolator:
+    def interpolator(self) -> _Pchip:
         """PCHIP through the samples, nan outside the grid; built once."""
         return self._pchip
 

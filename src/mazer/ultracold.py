@@ -12,8 +12,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
+from ._brent import brentq, minimize_bounded
 from .core import DomainError, SystemParams, _channels, _is_open
 from .core import _ArrayOps, _ScalarOps
 from .scattering import DegeneracyError, _blockwise, _inverse_denominator, _tau, tau_pm
@@ -142,13 +142,10 @@ def _peak_spacing(m: int, params: SystemParams) -> float:
 def _refine_peak(seed: float, spacing: float, params: SystemParams) -> float:
     lo = max(seed - 0.5 * spacing, seed * 1e-6)
     hi = seed + 0.5 * spacing
-    res = minimize_scalar(
-        lambda q: -transmission_ultracold(q, params),
-        bounds=(lo, hi),
-        method="bounded",
-        options={"xatol": seed * 1e-10},
+    x = minimize_bounded(
+        lambda q: -transmission_ultracold(q, params), (lo, hi), xatol=seed * 1e-10
     )
-    return float(res.x)
+    return float(x)
 
 
 def _locate_peak(m: int, params: SystemParams) -> tuple[float, bool] | None:

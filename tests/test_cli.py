@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mazer
 from mazer import SystemParams, oracle, scatter, transmission_ultracold, ultracold_valid
 from mazer.cli import PRESETS, _read_config, build_parser, main
 from mazer.oracle import ModeFunction, OracleSolveError, solve
@@ -503,3 +508,54 @@ class TestOracleCheckAndErrors:
             assert main(argv) == 1, argv
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and err[0].startswith(f"mazer: error: {flag} "), argv
+
+
+NO_SCIPY_SCRIPT = """
+import importlib.abc
+import sys
+
+
+class NoScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError(f"scipy is not a run-time dependency: {name}")
+        return None
+
+
+sys.meta_path.insert(0, NoScipy())
+try:
+    import scipy
+except ImportError:
+    pass
+else:
+    sys.exit("the finder let scipy through")
+
+from mazer.cli import main
+
+out = sys.argv[1]
+fig4 = ["--coupling-length", "628.3185307179587", "--pump-ratio", "100",
+        "--n-b", "0.2", "--k0", "0.05", "--k-max", "0.2", "--points", "201"]
+runs = [
+    ["transmission", "--preset", "fig1b"],
+    ["amplitude", "--preset", "fig2"],
+    ["pump", "--delta=0.002", *fig4],
+    ["select", "--delta=0.002", *fig4],
+]
+for argv in runs:
+    if main([*argv, "--out", out]) != 0:
+        sys.exit(f"exit code not 0: {argv}")
+if any(name.partition(".")[0] == "scipy" for name in sys.modules):
+    sys.exit("a scipy module was loaded")
+"""
+
+
+def test_no_code_path_needs_scipy(tmp_path):
+    """Each subcommand family runs to exit 0 with every scipy import refused."""
+    src = Path(mazer.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    env["PYTHONWARNINGS"] = "error::RuntimeWarning"
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_SCRIPT, str(tmp_path / "out.csv")],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -11,6 +11,8 @@ from mazer.scattering import scatter
 from mazer.selection import (
     POPULATION_CUTOFF,
     VelocityDistribution,
+    _pchip_end_slope,
+    _Pchip,
     beam_transmissions,
     final_distribution,
     maxwell_boltzmann_initial,
@@ -199,3 +201,81 @@ class TestFinalDistribution:
             assert fin.grid == plain.grid
             for got, ref in zip(fin.density, want):
                 assert abs(got - ref) <= 1e-14 * max(1.0, abs(ref))
+
+
+def assert_pchip_matches_scipy(x, y, k):
+    """`_Pchip` gives `PchipInterpolator(extrapolate=False)`'s bits at every k."""
+    from scipy.interpolate import PchipInterpolator
+
+    x, y, k = (np.asarray(a, dtype=float) for a in (x, y, k))
+    want = PchipInterpolator(x, y, extrapolate=False)(k)
+    got = _Pchip(x, y)(k)
+    assert got.shape == want.shape
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    finite = ~np.isnan(want)
+    # bit patterns, so that a zero of the other sign fails too
+    assert np.array_equal(got[finite].view(np.int64), want[finite].view(np.int64))
+
+
+class TestPchip:
+    """The numpy PCHIP against scipy's, bit for bit."""
+
+    @pytest.mark.parametrize("k0, knots", [(0.03, 301), (0.05, 1001), (0.08, 5001)])
+    def test_maxwell_boltzmann_grids(self, k0, knots):
+        init = maxwell_boltzmann_initial(k0, np.linspace(0.0, 0.2, knots))
+        grid = np.asarray(init.grid)
+        k = np.random.default_rng(knots).uniform(grid[0], grid[-1], 200_000)
+        k = np.concatenate([k, grid, [grid[0], grid[-1]]])
+        assert_pchip_matches_scipy(grid, init.density, k)
+        ours = _Pchip(grid, np.asarray(init.density))(k)
+        assert np.array_equal(init.interpolator()(k), ours)
+
+    def test_nan_outside_the_grid(self):
+        x, y = np.linspace(0.1, 0.2, 11), np.linspace(1.0, 2.0, 11) ** 2
+        outside = [0.0, np.nextafter(0.1, 0.0), np.nextafter(0.2, 1.0), 1.0]
+        outside += [-np.inf, np.inf, np.nan]
+        assert np.isnan(_Pchip(x, y)(outside)).all()
+        assert_pchip_matches_scipy(x, y, outside + [0.1, 0.2])
+
+    def test_scalar_point(self):
+        x, y = np.array([0.0, 1.0, 3.0]), np.array([0.0, 2.0, 1.0])
+        assert _Pchip(x, y)(0.5).shape == ()
+        assert_pchip_matches_scipy(x, y, 0.5)
+
+    def test_two_point_grid_is_linear(self):
+        x, y = np.array([0.5, 2.0]), np.array([3.0, -1.0])
+        k = np.linspace(0.0, 2.5, 101)
+        assert_pchip_matches_scipy(x, y, k)
+
+    def test_flat_zero_stretch(self):
+        # zero slopes on either side of a knot give that knot slope 0
+        x = np.array([0.0, 0.1, 0.25, 0.3, 0.4, 0.55, 0.6, 0.8])
+        y = np.array([0.0, 0.0, 0.0, 1.0, 2.0, 0.5, 0.0, 0.0])
+        k = np.random.default_rng(1).uniform(0.0, 0.8, 5000)
+        assert_pchip_matches_scipy(x, y, np.concatenate([k, x]))
+
+    @pytest.mark.parametrize(
+        "y, left, right",
+        [
+            # d = (3 m0 - m1) / 2 on unit spacing: m1 > 3 m0 flips its sign
+            ([0.0, 1.0, 5.0, 9.0, 10.0], 0.0, 0.0),
+            # m0 and m1 of opposite sign, |d| > 3 |m0|: clamped to 3 m0
+            ([0.0, 1.0, -9.0, 1.0, 0.0], 3.0, -3.0),
+        ],
+    )
+    def test_end_slope_branches(self, y, left, right):
+        x = np.arange(5.0)
+        m = np.diff(y)
+        h = np.diff(x)
+        assert _pchip_end_slope(h[0], h[1], m[0], m[1]) == left
+        assert _pchip_end_slope(h[-1], h[-2], m[-1], m[-2]) == right
+        k = np.concatenate([np.linspace(0.0, 4.0, 4001), x])
+        assert_pchip_matches_scipy(x, y, k)
+
+    def test_uneven_random_grids(self):
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            x = np.cumsum(rng.uniform(0.01, 1.0, 40))
+            y = rng.choice([0.0, 1.0], 40) * rng.uniform(0.0, 5.0, 40)
+            k = rng.uniform(x[0] - 0.5, x[-1] + 0.5, 2000)
+            assert_pchip_matches_scipy(x, y, np.concatenate([k, x]))

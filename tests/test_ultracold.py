@@ -1,13 +1,14 @@
 """Ultracold closed forms, resonance catalog, widths and amplitudes."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mazer import ultracold
+from mazer import _brent, ultracold
 from mazer.core import DomainError, SystemParams
 from mazer.scattering import DegeneracyError, scatter
 from mazer.ultracold import (
@@ -270,3 +271,93 @@ class TestHotColdBoundary:
             hot_cold_boundary(0.0, 0)
         with pytest.raises(DomainError):
             hot_cold_boundary(0.05, -1)
+
+
+# (delta/g, kappa L, photon numbers, k window) of the fig-4 catalogs and fig1b
+PORT_CONFIGS = [
+    *((d, KL200, range(16), (0.0, 0.2)) for d in (-0.002, 0.0, 0.002, 0.005)),
+    *((d, KL, (0,), (0.002, 0.1)) for d in (-0.005, 0.005)),
+]
+
+
+def record_port_calls(monkeypatch, name):
+    """Build every PORT_CONFIGS catalog, recording each (args, kwargs, result)
+    of `ultracold.<name>`, and return the calls and the refined peaks."""
+    real = getattr(ultracold, name)
+    calls = []
+
+    def spy(*args, **kwargs):
+        result = real(*args, **kwargs)
+        calls.append((args, kwargs, result))
+        return result
+
+    monkeypatch.setattr(ultracold, name, spy)
+    refined = []
+    for d, kl, photons, (k_min, k_max) in PORT_CONFIGS:
+        for n in photons:
+            peaks = catalog_in_window(SystemParams(d, kl, n), k_max, k_min)
+            refined += [p for p in peaks if p.refined]
+    return calls, refined
+
+
+class TestBrentPorts:
+    """The `_brent` ports take scipy's decisions, so they return its bits."""
+
+    def test_refine_peak_matches_scipy_bounded_minimizer(self, monkeypatch):
+        from scipy.optimize import minimize_scalar
+
+        calls, refined = record_port_calls(monkeypatch, "minimize_bounded")
+        assert len(calls) == len(refined) > 0
+        for ((func, bounds), kwargs, x), peak in zip(calls, refined):
+            res = minimize_scalar(func, bounds=bounds, method="bounded", options=kwargs)
+            assert float(x) == float(res.x) == peak.position
+
+    def test_brentq_matches_scipy_on_fwhm_brackets(self, monkeypatch):
+        from scipy.optimize import brentq
+
+        calls, _ = record_port_calls(monkeypatch, "brentq")
+        assert len(calls) > 100
+        for (g, lo, hi), kwargs, root in calls:
+            assert root == brentq(g, lo, hi, **kwargs)
+
+    @pytest.mark.parametrize(
+        "f, a, b, kwargs",
+        [
+            (lambda x: x * x + 1.0, -1.0, 2.0, {}),  # same-sign bracket
+            (lambda x: math.nan if x > 0.3 else x - 0.5, 0.0, 1.0, {}),  # nan value
+            (lambda x: math.cos(x) - x, 0.0, 1.0, {"maxiter": 2}),  # maxiter
+            (lambda x: x, -1.0, 1.0, {"xtol": 0.0}),
+            (lambda x: x, -1.0, 1.0, {"rtol": 1e-17}),
+        ],
+    )
+    def test_brentq_raises_as_scipy(self, f, a, b, kwargs):
+        from scipy.optimize import brentq as scipy_brentq
+
+        with pytest.raises((ValueError, RuntimeError)) as expected:
+            scipy_brentq(f, a, b, **kwargs)
+        with pytest.raises(expected.type, match=f"^{re.escape(str(expected.value))}$"):
+            _brent.brentq(f, a, b, **kwargs)
+
+    @pytest.mark.parametrize(
+        "f, bounds, kwargs",
+        [
+            (lambda x: (x - 2.0) * x * (x + 2.0) ** 2, (-3.0, -1.0), {}),
+            (lambda x: math.cos(3.0 * x) + 0.1 * x, (0.0, 10.0), {"xatol": 1e-12}),
+            (lambda x: abs(x - 0.25), (0.0, 1.0), {"maxiter": 7}),  # stops at maxiter
+            (lambda x: 1.0, (2.0, 2.0), {}),
+        ],
+    )
+    def test_minimize_bounded_matches_scipy(self, f, bounds, kwargs):
+        from scipy.optimize import minimize_scalar
+
+        res = minimize_scalar(f, bounds=bounds, method="bounded", options=kwargs)
+        assert _brent.minimize_bounded(f, bounds, **kwargs) == res.x
+
+    def test_minimize_bounded_rejects_bad_bounds_as_scipy(self):
+        from scipy.optimize import minimize_scalar
+
+        for bounds in ((1.0, 0.0), (0.0, math.inf), (0.0, 1.0, 2.0)):
+            with pytest.raises(ValueError) as expected:
+                minimize_scalar(abs, bounds=bounds, method="bounded")
+            with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+                _brent.minimize_bounded(abs, bounds)
