@@ -6,12 +6,6 @@ scipy's C `brentq.c` with its Python wrapper's checks; `minimize_bounded`
 ports `_minimize_scalar_bounded` (Forsythe, Malcolm and Moler's `fmin`)
 and returns its `x` without the `OptimizeResult` wrapper.  Both take the
 decisions scipy takes, so they return the same floats bit for bit.
-
-The two differ in the type of the abscissae they hand to the function,
-and so do these ports: the C root finder passes Python floats, while the
-minimizer's iterates are `np.float64` (its constants come from `np.sqrt`).
-The ultracold closed forms round differently for the two types, so the
-minimizer keeps numpy's scalars.
 """
 
 from __future__ import annotations

@@ -282,7 +282,7 @@ def _photon_state(args, delta: float):
 
     @functools.cache
     def mem(n: int) -> float:
-        return mean_p_em(n, init, base, kernel=args.kernel)
+        return mean_p_em(n, init, base)
 
     dist = stationary_distribution(
         PumpParams(args.n_b, args.pump_ratio, args.truncation), mem
@@ -475,7 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--k0", type=float, default=0.05)
         sp.add_argument("--k-max", type=float, default=0.2)
         sp.add_argument("--points", type=int, default=1001)
-        sp.add_argument("--kernel", choices=("ultracold", "exact"), default="ultracold")
         if name == "select":
             sp.add_argument("--jacobian", action="store_true",
                             help="apply the dk'/dk density factor to the remapped term")

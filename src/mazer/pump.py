@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Literal
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from ._qagp import qagp
 from .core import DomainError, SystemParams, _ArrayOps, _channels, _is_open, _ScalarOps
-from .scattering import DegeneracyError, _inverse_denominator, transmissions
+from .scattering import DegeneracyError, _inverse_denominator
 from .ultracold import catalog_in_window
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -102,6 +102,7 @@ def p_em_ultracold(k: float, params: SystemParams) -> float:
     """
     if not k > 0.0:
         raise DomainError(f"incident wavenumber must be > 0, got {k}")
+    k = float(k)
     value, is_open, nondegenerate = _p_em_closed_form(k, params)
     if is_open and not nondegenerate:
         raise DegeneracyError(f"degenerate resonance denominator at k={k}")
@@ -124,7 +125,6 @@ def mean_p_em(
     n: int,
     initial: "VelocityDistribution",
     params_base: SystemParams,
-    kernel: Literal["ultracold", "exact"] = "ultracold",
 ) -> float:
     """Beam-averaged induced-emission probability for cavity photon number n.
 
@@ -132,6 +132,9 @@ def mean_p_em(
     distribution with breakpoints seeded at every catalogued resonance;
     the transmission peaks are orders of magnitude narrower than the beam
     distribution and plain adaptive quadrature walks straight over them.
+    P_em is `p_em_ultracold`, the whole lower-state flux, transmitted plus
+    reflected.  Raises ArithmeticError if the quadrature stops at its
+    subdivision limit or returns a non-finite value.
     """
     norm = initial.integral()
     if abs(norm - 1.0) > 1e-6:
@@ -141,18 +144,12 @@ def mean_p_em(
     params = SystemParams(
         params_base.detuning_ratio, params_base.coupling_length, n
     )
-    if kernel not in ("ultracold", "exact"):
-        raise ValueError(f"unknown emission kernel {kernel!r}")
 
     def integrand(k: np.ndarray) -> np.ndarray:
         w = initial.density_at(k)
         inside = w > 0.0
         out = np.zeros_like(k)
-        k = k[inside]
-        if kernel == "ultracold":
-            out[inside] = w[inside] * _p_em_array(k, params)
-        else:
-            out[inside] = w[inside] * transmissions(k, params)[1]
+        out[inside] = w[inside] * _p_em_array(k[inside], params)
         return out
 
     lo = max(float(initial.grid[0]), 1e-12)
@@ -165,7 +162,7 @@ def mean_p_em(
             if lo < q < hi:
                 points.append(q)
     points = sorted(set(points))
-    value = qagp(
+    result = qagp(
         integrand,
         lo,
         hi,
@@ -174,7 +171,14 @@ def mean_p_em(
         epsrel=1e-10,
         # room to bisect each of the len(points) + 1 intervals at least once
         limit=max(400, 2 * (len(points) + 1)),
-    ).value
+    )
+    value = result.value
+    # ier = 2 (roundoff) is left alone: coarse but valid runs reach it
+    if result.ier == 1:
+        raise ArithmeticError(
+            f"beam-averaged emission probability for n={n} stopped at the "
+            f"subdivision limit (ier={result.ier}, abserr={result.abserr:.3g})"
+        )
     if not math.isfinite(value):
         raise ArithmeticError(
             f"beam-averaged emission probability for n={n} is {value}"

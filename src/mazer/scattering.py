@@ -94,6 +94,7 @@ def tau_pm(sign: str, k_eval: float, params: SystemParams) -> complex:
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
     if not abs(k_eval) > 0.0:
         raise DomainError(f"tau_pm needs a nonzero evaluation wavenumber, got {k_eval}")
+    k_eval = float(k_eval)
     _, k_minus, k_plus = _channels(k_eval, params)
     kpm = k_plus if sign == "+" else k_minus
     if kpm == 0:
@@ -134,6 +135,7 @@ def inverse_denominator(k: float, params: SystemParams) -> complex:
     """
     if not k > 0.0:
         raise DomainError(f"incident wavenumber must be > 0, got {k}")
+    k = float(k)
     inv_d, nondegenerate = _inverse_denominator(k, params, _channels(k, params))
     if not nondegenerate:
         raise DegeneracyError(f"degenerate resonance denominator at k={k}")
@@ -227,6 +229,7 @@ def scatter(k: float, params: SystemParams) -> ScatteringResult:
     """
     if not k > 0.0:
         raise DomainError(f"incident wavenumber must be > 0, got {k}")
+    k = float(k)
     try:
         tau_a, tau_b, T_a, T_b, trusted = _scatter_closed_form(k, params)
     except ZeroDivisionError:

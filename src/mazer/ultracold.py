@@ -67,6 +67,7 @@ def transmission_ultracold(k: float, params: SystemParams) -> float:
     """T = f(theta_n) I(L) |tau_minus(k)|^2; `ultracold_valid` says where it holds."""
     if not k > 0.0:
         raise DomainError(f"incident wavenumber must be > 0, got {k}")
+    k = float(k)
     value, nondegenerate = _transmission_ultracold(k, params)
     if not nondegenerate:
         raise DegeneracyError(f"degenerate resonance denominator at k={k}")

@@ -220,6 +220,9 @@ class TestPresetsAndConfig:
             ["pump", "--g-hz", "1e5"],
             ["select", "--g-hz", "1e5"],
             ["oracle-check", "--g-hz", "1e5"],
+            # one emission kernel, so no option selects it
+            ["pump", "--kernel", "exact"],
+            ["select", "--kernel", "ultracold"],
         ):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
@@ -540,6 +543,8 @@ runs = [
     ["amplitude", "--preset", "fig2"],
     ["pump", "--delta=0.002", *fig4],
     ["select", "--delta=0.002", *fig4],
+    ["resonances", "--delta", "0.005", "--m-min", "1001", "--m-max", "1010"],
+    ["oracle-check", "--samples", "200"],
 ]
 for argv in runs:
     if main([*argv, "--out", out]) != 0:
@@ -550,7 +555,7 @@ if any(name.partition(".")[0] == "scipy" for name in sys.modules):
 
 
 def test_no_code_path_needs_scipy(tmp_path):
-    """Each subcommand family runs to exit 0 with every scipy import refused."""
+    """Every subcommand runs to exit 0 with every scipy import refused."""
     src = Path(mazer.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
     env["PYTHONWARNINGS"] = "error::RuntimeWarning"

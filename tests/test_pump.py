@@ -21,7 +21,7 @@ from mazer.pump import (
     stationary_distribution,
     thermal_distribution,
 )
-from mazer.scattering import DegeneracyError, scatter, transmissions
+from mazer.scattering import DegeneracyError
 from mazer.selection import maxwell_boltzmann_initial
 
 KL200 = 200.0 * math.pi
@@ -84,37 +84,6 @@ class TestPEmUltracold:
     def test_nonpositive_k_rejected(self):
         with pytest.raises(DomainError):
             p_em_ultracold(0.0, SystemParams(0.0, KL200, 0))
-
-    def test_kernel_dispatch(self, monkeypatch):
-        # delta/g = 0.002 closes channel b below k = 0.0447
-        params = SystemParams(0.002, KL200, 3)
-        init = maxwell_boltzmann_initial(0.05, np.linspace(0.0, 0.2, 1001))
-        integrands = []
-
-        def capture(f, *args, **tols):
-            integrands.append(f)
-            return SimpleNamespace(value=0.0)
-
-        monkeypatch.setattr(pump, "qagp", capture)
-        for kernel in ("ultracold", "exact"):
-            mean_p_em(3, init, SystemParams(0.002, KL200, 0), kernel)
-        # the last point lies past the grid, where the beam has no atoms
-        ks = np.append(np.linspace(0.01, 0.15, 57), 0.25)
-        w = init.density_at(ks)
-        inside = w > 0.0
-        assert not inside[-1] and inside[:-1].all()
-        ultracold, exact = (f(ks) for f in integrands)
-        assert np.all(ultracold[~inside] == 0.0) and np.all(exact[~inside] == 0.0)
-        ks, w = ks[inside], w[inside]
-        p_em = _p_em_array(ks, params)
-        t_b = transmissions(ks, params)[1]
-        assert np.array_equal(ultracold[inside], w * p_em)
-        assert np.array_equal(exact[inside], w * t_b)
-        for k, u, e in zip(ks, p_em, t_b):
-            assert abs(u - p_em_ultracold(float(k), params)) <= 1e-14
-            assert abs(e - scatter(float(k), params).T_b) <= 1e-14
-        with pytest.raises(ValueError):
-            mean_p_em(3, init, SystemParams(0.002, KL200, 0), "nope")
 
 
 def assert_array_matches_scalar(ks, params):
@@ -234,6 +203,44 @@ class TestMeanPEm:
         init = maxwell_boltzmann_initial(0.05, np.linspace(0.0, 0.2, 1001))
         with pytest.raises(ArithmeticError, match="n=3"):
             mean_p_em(3, init, SystemParams(0.0, KL200, 0))
+
+    def test_integrand(self, monkeypatch):
+        # delta/g = 0.002 closes channel b below k = 0.0447
+        params = SystemParams(0.002, KL200, 3)
+        init = maxwell_boltzmann_initial(0.05, np.linspace(0.0, 0.2, 1001))
+        integrands = []
+
+        def capture(f, *args, **tols):
+            integrands.append(f)
+            return SimpleNamespace(value=0.0, abserr=0.0, ier=0)
+
+        monkeypatch.setattr(pump, "qagp", capture)
+        mean_p_em(3, init, SystemParams(0.002, KL200, 0))
+        (integrand,) = integrands
+        # the last point lies past the grid, where the beam has no atoms
+        ks = np.append(np.linspace(0.01, 0.15, 57), 0.25)
+        w = init.density_at(ks)
+        inside = w > 0.0
+        assert not inside[-1] and inside[:-1].all()
+        values = integrand(ks)
+        assert np.all(values[~inside] == 0.0)
+        ks, w = ks[inside], w[inside]
+        p_em = _p_em_array(ks, params)
+        assert np.array_equal(values[inside], w * p_em)
+        for k, u in zip(ks, p_em):
+            assert abs(u - p_em_ultracold(float(k), params)) <= 1e-14
+
+    def test_subdivision_limit_is_an_error(self, monkeypatch):
+        init = maxwell_boltzmann_initial(0.05, np.linspace(0.0, 0.2, 201))
+        base = SystemParams(0.002, KL200, 0)
+        stopped = SimpleNamespace(value=0.25, abserr=3e-7, ier=1)
+        monkeypatch.setattr(pump, "qagp", lambda *args, **tols: stopped)
+        with pytest.raises(ArithmeticError, match=r"n=2 .*ier=1, abserr=3e-07"):
+            mean_p_em(2, init, base)
+        # the roundoff flag (ier = 2) is reached on coarse but valid runs
+        roundoff = SimpleNamespace(value=0.25, abserr=3e-7, ier=2)
+        monkeypatch.setattr(pump, "qagp", lambda *args, **tols: roundoff)
+        assert mean_p_em(2, init, base) == 0.25
 
 
 class TestStationaryDistribution:

@@ -17,7 +17,12 @@ from mazer.scattering import (
     tau_pm,
     transmissions,
 )
-from mazer.ultracold import loeffler_resonant, transmissions_ultracold
+from mazer.pump import p_em_ultracold
+from mazer.ultracold import (
+    loeffler_resonant,
+    transmission_ultracold,
+    transmissions_ultracold,
+)
 
 KL = 1e3 * math.pi
 KL200 = 200.0 * math.pi
@@ -411,3 +416,29 @@ class TestPhasesOncePerPoint:
         monkeypatch.setattr(scattering, "_scaled_trig", counting)
         evaluate(SystemParams(0.002, KL200, 3))
         assert len(calls) == 4
+
+
+def tau_both(k, params):
+    return tau_pm("-", k, params), tau_pm("+", k, params)
+
+
+@pytest.mark.parametrize(
+    "entry, k_min, k_max",
+    [
+        (scatter, 0.01, 0.06),
+        (transmission_ultracold, 0.01, 0.06),
+        (p_em_ultracold, 0.01, 0.06),
+        (inverse_denominator, 0.05, 0.06),
+        (tau_both, 0.05, 0.06),
+    ],
+    ids=["scatter", "transmission_ultracold", "p_em_ultracold",
+         "inverse_denominator", "tau_pm"],
+)
+def test_scalar_entries_are_type_stable(entry, k_min, k_max):
+    # the bounded minimizer hands its objective np.float64 iterates; numpy
+    # scalar arithmetic rounds differently from Python's, so each scalar
+    # entry works on float(k).  repr round-trips every float exactly.
+    params = SystemParams(0.002, KL200, 0)
+    ks = np.random.default_rng(0).uniform(k_min, k_max, 2000)
+    for k in ks:
+        assert repr(entry(k, params)) == repr(entry(float(k), params)), k
