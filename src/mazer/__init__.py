@@ -21,6 +21,7 @@ from .ultracold import (
     catalog_in_window,
     hot_cold_boundary,
     loeffler_resonant,
+    p_em_ultracold,
     resonance_amplitude,
     resonance_positions,
     transmission_ultracold,
@@ -32,7 +33,6 @@ from .pump import (
     PhotonDistribution,
     PumpParams,
     mean_p_em,
-    p_em_ultracold,
     stationary_distribution,
 )
 from .selection import (

@@ -34,6 +34,13 @@ def _complex_array(re, im) -> np.ndarray:
     return out
 
 
+def _incident(k) -> float:
+    """The scalar entries' incident k: checked > 0 (nan fails), as a Python float."""
+    if not k > 0.0:
+        raise DomainError(f"incident wavenumber must be > 0, got {k}")
+    return float(k)
+
+
 def _if_else(cond, a, b):
     return a if cond else b
 
@@ -207,8 +214,7 @@ class ChannelWavenumbers:
 
 def channel_wavenumbers(k: float, params: SystemParams) -> ChannelWavenumbers:
     """All channel wavenumbers for incident wavenumber k (units of kappa)."""
-    if not k > 0.0:
-        raise DomainError(f"incident wavenumber must be > 0, got {k}")
+    k = _incident(k)
     k_b, k_minus, k_plus = _channels(k, params)
     return ChannelWavenumbers(
         k=k,

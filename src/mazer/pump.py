@@ -1,8 +1,9 @@
 """Micromaser photon-field statistics driven by the ultracold atomic beam.
 
-The induced-emission probability of a single traversing atom, its average
-over the incident velocity distribution, and the stationary photon-number
-distribution that the pumped, damped cavity settles into.
+The induced-emission probability of a single traversing atom
+(`ultracold.p_em_ultracold`) averaged over the incident velocity
+distribution, and the stationary photon-number distribution that the
+pumped, damped cavity settles into.
 """
 
 from __future__ import annotations
@@ -14,9 +15,8 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from ._qagp import qagp
-from .core import DomainError, SystemParams, _ArrayOps, _channels, _is_open, _ScalarOps
-from .scattering import DegeneracyError, _inverse_denominator
-from .ultracold import catalog_in_window
+from .core import DomainError, SystemParams
+from .ultracold import _p_em_array, catalog_in_window
 
 if TYPE_CHECKING:  # pragma: no cover
     from .selection import VelocityDistribution
@@ -68,57 +68,6 @@ class PhotonDistribution:
 
     def mean(self) -> float:
         return math.fsum(n * p for n, p in enumerate(self.probabilities))
-
-
-def _p_em_closed_form(k, params: SystemParams, ops=_ScalarOps):
-    """(P_em, channel b open, nondegenerate) at k; P_em is 0 where b is closed.
-
-    The fast-varying phase is evaluated with the full lower-dressed
-    wavenumber k_minus (= kappa_n sqrt(cot theta) at leading ultracold
-    order), which keeps the expression in phase with the exact resonances.
-    Where b is open but `nondegenerate` is false, P_em is nan.
-    """
-    channels = _channels(k, params, ops)
-    k_b, k_minus, _ = channels
-    is_open = _is_open(k_b)
-    inv_d, nondegenerate = _inverse_denominator(k, params, channels, ops)
-    cot = params.cot_theta
-    phase = k_minus.real * params.coupling_length
-    kn = params.kappa_n
-    i_of_l = abs(inv_d) ** 2
-    num = 1.0 + 0.5 * cot * ops.sin(2.0 * phase)
-    den = 1.0 + (kn / (2.0 * k)) ** 2 * cot * ops.sin(phase) ** 2
-    value = (k_b.real / k) * 0.5 * i_of_l * num / den
-    # value < 0 is a floating-point undershoot of the interference numerator
-    value = ops.where(value < 0.0, 0.0, value)
-    return ops.where(is_open, value, 0.0), is_open, nondegenerate
-
-
-def p_em_ultracold(k: float, params: SystemParams) -> float:
-    """Induced-emission probability of one ultracold atom with wavenumber k.
-
-    Vanishes identically when the emission channel is closed
-    ((k/kappa)^2 <= delta/g).
-    """
-    if not k > 0.0:
-        raise DomainError(f"incident wavenumber must be > 0, got {k}")
-    k = float(k)
-    value, is_open, nondegenerate = _p_em_closed_form(k, params)
-    if is_open and not nondegenerate:
-        raise DegeneracyError(f"degenerate resonance denominator at k={k}")
-    return value
-
-
-def _p_em_array(k: np.ndarray, params: SystemParams) -> np.ndarray:
-    """`p_em_ultracold` at every point of the array k (> 0), to a few ulp."""
-    with np.errstate(all="ignore"):
-        value, is_open, nondegenerate = _p_em_closed_form(k, params, _ArrayOps)
-    bad = is_open & ~nondegenerate
-    if np.any(bad):
-        raise DegeneracyError(
-            f"degenerate resonance denominator at k={k[bad][0]}"
-        )
-    return value
 
 
 def mean_p_em(

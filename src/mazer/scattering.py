@@ -28,6 +28,7 @@ from .core import (
     _channels,
     _Dressed,
     _flux_b,
+    _incident,
     _ScalarOps,
 )
 
@@ -92,9 +93,7 @@ def tau_pm(sign: str, k_eval: float, params: SystemParams) -> complex:
     """
     if sign not in ("+", "-"):
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
-    if not abs(k_eval) > 0.0:
-        raise DomainError(f"tau_pm needs a nonzero evaluation wavenumber, got {k_eval}")
-    k_eval = float(k_eval)
+    k_eval = _incident(k_eval)
     _, k_minus, k_plus = _channels(k_eval, params)
     kpm = k_plus if sign == "+" else k_minus
     if kpm == 0:
@@ -133,9 +132,7 @@ def inverse_denominator(k: float, params: SystemParams) -> complex:
     Evaluated with fractions cleared so the cot/tan poles of k^c and k^t
     cancel exactly instead of producing inf/inf artifacts.
     """
-    if not k > 0.0:
-        raise DomainError(f"incident wavenumber must be > 0, got {k}")
-    k = float(k)
+    k = _incident(k)
     inv_d, nondegenerate = _inverse_denominator(k, params, _channels(k, params))
     if not nondegenerate:
         raise DegeneracyError(f"degenerate resonance denominator at k={k}")
@@ -227,9 +224,7 @@ def scatter(k: float, params: SystemParams) -> ScatteringResult:
     produce non-finite values, falls back to the equivalent direct
     boundary-matching linear solve.
     """
-    if not k > 0.0:
-        raise DomainError(f"incident wavenumber must be > 0, got {k}")
-    k = float(k)
+    k = _incident(k)
     try:
         tau_a, tau_b, T_a, T_b, trusted = _scatter_closed_form(k, params)
     except ZeroDivisionError:

@@ -1,7 +1,8 @@
 """Ultracold-regime closed forms and the transmission resonance catalog.
 
 In the ultracold regime (k << kappa_n sqrt(tan theta_n), exp(kappa_n L) >> 1)
-the total transmission factorizes as T = f(theta_n) * I(L) * |tau_minus(k)|^2.
+the total transmission factorizes as T = f(theta_n) * I(L) * |tau_minus(k)|^2;
+the induced-emission probability P_em shares the resonance factor I(L).
 Resonances occur where the cavity fits an integer number of half de Broglie
 wavelengths of the lower dressed channel, k_minus * L = m * pi.
 """
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._brent import brentq, minimize_bounded
-from .core import DomainError, SystemParams, _channels, _is_open
+from .core import DomainError, SystemParams, _channels, _incident, _is_open
 from .core import _ArrayOps, _ScalarOps
 from .scattering import DegeneracyError, _blockwise, _inverse_denominator, _tau, tau_pm
 
@@ -63,27 +64,46 @@ def _transmission_ultracold(k, params: SystemParams, ops=_ScalarOps):
     return f * abs(inv_d) ** 2 * tau2, nondegenerate
 
 
-def transmission_ultracold(k: float, params: SystemParams) -> float:
-    """T = f(theta_n) I(L) |tau_minus(k)|^2; `ultracold_valid` says where it holds."""
-    if not k > 0.0:
-        raise DomainError(f"incident wavenumber must be > 0, got {k}")
-    k = float(k)
-    value, nondegenerate = _transmission_ultracold(k, params)
-    if not nondegenerate:
+def _p_em_closed_form(k, params: SystemParams, ops=_ScalarOps):
+    """(P_em, ok) at k; P_em is 0 where channel b is closed.
+
+    The fast-varying phase is evaluated with the full lower-dressed
+    wavenumber k_minus (= kappa_n sqrt(cot theta) at leading ultracold
+    order), which keeps the expression in phase with the exact resonances.
+    A degenerate denominator matters only where b is open: there `ok` is
+    false and P_em is nan.
+    """
+    channels = _channels(k, params, ops)
+    k_b, k_minus, _ = channels
+    is_open = _is_open(k_b)
+    inv_d, nondegenerate = _inverse_denominator(k, params, channels, ops)
+    cot = params.cot_theta
+    phase = k_minus.real * params.coupling_length
+    kn = params.kappa_n
+    i_of_l = abs(inv_d) ** 2
+    num = 1.0 + 0.5 * cot * ops.sin(2.0 * phase)
+    den = 1.0 + (kn / (2.0 * k)) ** 2 * cot * ops.sin(phase) ** 2
+    value = (k_b.real / k) * 0.5 * i_of_l * num / den
+    # value < 0 is a floating-point undershoot of the interference numerator
+    value = ops.where(value < 0.0, 0.0, value)
+    return ops.where(is_open, value, 0.0), ops.where(is_open, nondegenerate, True)
+
+
+def _at_point(closed_form, k, params: SystemParams) -> float:
+    """The scalar entry contract: closed_form at one k > 0, raising where not ok."""
+    k = _incident(k)
+    value, ok = closed_form(k, params)
+    if not ok:
         raise DegeneracyError(f"degenerate resonance denominator at k={k}")
     return value
 
 
-def transmissions_ultracold(k, params) -> np.ndarray:
-    """`transmission_ultracold` at every point of the array k, to ~1e-14 relative.
-
-    k and params are as for `transmissions`; the first degenerate k raises,
-    as in the scalar form.
-    """
+def _at_points(closed_form, k, params) -> np.ndarray:
+    """The array entry contract: closed_form over the array k, raising where not ok."""
 
     def evaluate(k, dressed, each):
         with np.errstate(all="ignore"):
-            value, ok = _transmission_ultracold(k, dressed, _ArrayOps)
+            value, ok = closed_form(k, dressed, _ArrayOps)
         if not ok.all():
             raise DegeneracyError(f"degenerate resonance denominator at k={k[~ok][0]}")
         return (value,)
@@ -91,12 +111,36 @@ def transmissions_ultracold(k, params) -> np.ndarray:
     return _blockwise(k, params, evaluate)[0]
 
 
+def transmission_ultracold(k: float, params: SystemParams) -> float:
+    """T = f(theta_n) I(L) |tau_minus(k)|^2; `ultracold_valid` says where it holds."""
+    return _at_point(_transmission_ultracold, k, params)
+
+
+def transmissions_ultracold(k, params) -> np.ndarray:
+    """Array `transmission_ultracold`, to ~1e-14 relative; k, params as for `transmissions`."""
+    return _at_points(_transmission_ultracold, k, params)
+
+
+def p_em_ultracold(k: float, params: SystemParams) -> float:
+    """Induced-emission probability of one ultracold atom with wavenumber k.
+
+    Vanishes identically when the emission channel is closed
+    ((k/kappa)^2 <= delta/g).
+    """
+    return _at_point(_p_em_closed_form, k, params)
+
+
+def _p_em_array(k, params: SystemParams) -> np.ndarray:
+    """`p_em_ultracold` over the array k, to a few ulp, for one `SystemParams`."""
+    # not one per point: P_em reads cot_theta and kappa_n, which `_Dressed` lacks
+    return _at_points(_p_em_closed_form, k, params)
+
+
 def loeffler_resonant(
     k: float, coupling_length: float, photon_number: int
 ) -> float:
     """Resonant (delta = 0) transmission T = |tau_minus(k)|^2 / 2."""
-    if not k > 0.0:
-        raise DomainError(f"incident wavenumber must be > 0, got {k}")
+    k = _incident(k)
     params = SystemParams(0.0, coupling_length, photon_number)
     return 0.5 * abs(tau_pm("-", k, params)) ** 2
 
@@ -106,8 +150,7 @@ def hot_cold_boundary(k: float, photon_number: int) -> float:
 
     Given by -delta/g = (n+1) (kappa/k)^2; returns the (negative) delta/g.
     """
-    if not k > 0.0:
-        raise DomainError(f"incident wavenumber must be > 0, got {k}")
+    k = _incident(k)
     if photon_number < 0:
         raise DomainError(f"photon_number must be >= 0, got {photon_number}")
     return -(photon_number + 1.0) / (k * k)
@@ -125,7 +168,9 @@ def resonance_amplitude(peak_position: float, params: SystemParams) -> float:
 
 
 def analytic_position(m: int, params: SystemParams) -> float | None:
-    """Eq.-(21)-style position sqrt((m pi / kL)^2 - sqrt(n+1) cot theta)."""
+    """Eq.-(21)-style position sqrt((m pi / kL)^2 - sqrt(n+1) cot theta), m >= 1."""
+    if m < 1:
+        raise DomainError(f"resonance index must be >= 1, got {m}")
     rad = (m * math.pi / params.coupling_length) ** 2 - params.shift_minus
     if rad <= 0.0:
         return None
@@ -133,14 +178,15 @@ def analytic_position(m: int, params: SystemParams) -> float | None:
 
 
 def _peak_spacing(m: int, params: SystemParams) -> float:
-    lo = analytic_position(m - 1, params)
-    hi = analytic_position(m + 1, params)
+    """Distance from peak m (which exists) to its nearest analytic neighbour."""
     here = analytic_position(m, params)
-    cands = [abs(here - x) for x in (lo, hi) if x is not None]
-    return min(cands) if cands else here * 0.5
+    lo = analytic_position(m - 1, params) if m > 1 else None
+    hi = analytic_position(m + 1, params)  # exists wherever peak m does
+    return min(abs(here - x) for x in (lo, hi) if x is not None)
 
 
 def _refine_peak(seed: float, spacing: float, params: SystemParams) -> float:
+    # the minimizer stops at sqrt(eps)|x| + xatol/3: positions good to ~1.5e-8 relative
     lo = max(seed - 0.5 * spacing, seed * 1e-6)
     hi = seed + 0.5 * spacing
     x = minimize_bounded(
@@ -155,8 +201,6 @@ def _locate_peak(m: int, params: SystemParams) -> tuple[float, bool] | None:
     Where channel b is closed at the analytic position (k^2 <= delta/g) the
     peak is refined by maximizing the ultracold transmission around it.
     """
-    if m < 1:
-        raise DomainError(f"resonance index must be >= 1, got {m}")
     pos = analytic_position(m, params)
     if pos is None:
         return None

@@ -9,20 +9,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mazer.pump as pump
+import mazer.ultracold as ultracold
 from mazer.core import DomainError, SystemParams, _ArrayOps
 from mazer.oracle import ModeFunction, solve
 from mazer.pump import (
     ConfigurationError,
     PhotonDistribution,
     PumpParams,
-    _p_em_array,
     mean_p_em,
-    p_em_ultracold,
     stationary_distribution,
     thermal_distribution,
 )
 from mazer.scattering import DegeneracyError
 from mazer.selection import maxwell_boltzmann_initial
+from mazer.ultracold import _p_em_array, p_em_ultracold
 
 KL200 = 200.0 * math.pi
 
@@ -135,7 +135,7 @@ class TestPEmArray:
         # denominator is an error where b is open and gives 0 where closed
         params = SystemParams(0.002, KL200, 2)
         ks = np.linspace(0.01, 0.15, 7)
-        real_inverse = pump._inverse_denominator
+        real_inverse = ultracold._inverse_denominator
 
         def degenerate_at(index):
             def poisoned(k, p, channels, ops):
@@ -150,12 +150,12 @@ class TestPEmArray:
 
             return poisoned
 
-        monkeypatch.setattr(pump, "_inverse_denominator", degenerate_at(3))
+        monkeypatch.setattr(ultracold, "_inverse_denominator", degenerate_at(3))
         with pytest.raises(DegeneracyError):
             _p_em_array(ks, params)
         with pytest.raises(DegeneracyError):
             p_em_ultracold(float(ks[3]), params)
-        monkeypatch.setattr(pump, "_inverse_denominator", degenerate_at(0))
+        monkeypatch.setattr(ultracold, "_inverse_denominator", degenerate_at(0))
         values = _p_em_array(ks, params)
         assert values[0] == 0.0 and np.all(np.isfinite(values))
         assert p_em_ultracold(float(ks[0]), params) == 0.0
@@ -306,3 +306,17 @@ class TestStationaryDistribution:
         with pytest.raises(ConfigurationError, match="n=0"):
             stationary_distribution(PumpParams(0.2, 100.0, 64), nan_mean_em)
         assert calls == [0]
+
+
+def test_pump_binds_no_private_kernel_name():
+    # P_em and its entry contract live in `ultracold`; `pump` holds the
+    # photon statistics and reaches the closed form only through them
+    from mazer import core, scattering
+
+    assert not hasattr(pump, "p_em_ultracold")
+    for name, value in vars(pump).items():
+        assert value is not scattering, name
+        module = getattr(value, "__module__", None)
+        assert module != scattering.__name__, name
+        if module == core.__name__:
+            assert not value.__name__.startswith("_"), name

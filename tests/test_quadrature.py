@@ -10,6 +10,7 @@ import mazer.pump as pump
 from mazer._qagp import qagp
 from mazer.core import SystemParams
 from mazer.selection import maxwell_boltzmann_initial
+from mazer.ultracold import p_em_ultracold
 
 KL200 = 200.0 * math.pi
 TOLS = dict(epsabs=1e-8, epsrel=1e-10, limit=400)
@@ -55,7 +56,7 @@ def port_and_quad(monkeypatch, delta, n, kl):
 
     def scalar_integrand(k: float) -> float:
         w = float(density(k))
-        return w * pump.p_em_ultracold(k, params) if w > 0.0 else 0.0
+        return w * p_em_ultracold(k, params) if w > 0.0 else 0.0
 
     value, _, info = quad_info(scalar_integrand, a, b, points, **tols)
     ours = qagp(f, a, b, points, **tols)

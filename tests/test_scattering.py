@@ -1,6 +1,7 @@
 """Closed-form transmission amplitudes: algebraic anchors and oracle equivalence."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mazer import scattering
-from mazer.core import DomainError, SystemParams, _ArrayOps, _ScalarOps
+from mazer.core import (
+    DomainError,
+    SystemParams,
+    _ArrayOps,
+    _ScalarOps,
+    channel_wavenumbers,
+)
 from mazer.scattering import (
     DegeneracyError,
     _scatter_matching,
@@ -17,9 +24,10 @@ from mazer.scattering import (
     tau_pm,
     transmissions,
 )
-from mazer.pump import p_em_ultracold
 from mazer.ultracold import (
+    hot_cold_boundary,
     loeffler_resonant,
+    p_em_ultracold,
     transmission_ultracold,
     transmissions_ultracold,
 )
@@ -86,10 +94,6 @@ class TestResonanceDenominator:
 
 class TestScatter:
     def test_nan_wavenumber_rejected(self):
-        from mazer.core import channel_wavenumbers
-        from mazer.pump import p_em_ultracold
-        from mazer.ultracold import transmission_ultracold
-
         for fn in (scatter, inverse_denominator, transmission_ultracold,
                    p_em_ultracold, channel_wavenumbers, transmissions):
             with pytest.raises(DomainError):
@@ -442,3 +446,26 @@ def test_scalar_entries_are_type_stable(entry, k_min, k_max):
     ks = np.random.default_rng(0).uniform(k_min, k_max, 2000)
     for k in ks:
         assert repr(entry(k, params)) == repr(entry(float(k), params)), k
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        scatter,
+        inverse_denominator,
+        lambda k, params: tau_pm("-", k, params),
+        channel_wavenumbers,
+        lambda k, params: loeffler_resonant(k, params.coupling_length, 0),
+        lambda k, params: hot_cold_boundary(k, 0),
+        transmission_ultracold,
+        p_em_ultracold,
+    ],
+    ids=["scatter", "inverse_denominator", "tau_pm", "channel_wavenumbers",
+         "loeffler_resonant", "hot_cold_boundary", "transmission_ultracold",
+         "p_em_ultracold"],
+)
+@pytest.mark.parametrize("k", [0.0, -0.05, math.nan])
+def test_scalar_entries_share_one_k_check(entry, k):
+    message = f"incident wavenumber must be > 0, got {k}"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        entry(k, SystemParams(0.002, KL200, 0))

@@ -165,6 +165,25 @@ class TestResonanceCatalog:
         assert analytic_position(1000, PARAMS0) is None
         assert resonance_positions(PARAMS0, (1000, 1000)) == []
 
+    def test_index_below_one_rejected(self):
+        # the position squares m, so a negative index would alias peak |m|
+        for m in (0, -1, -1001):
+            with pytest.raises(DomainError, match="resonance index must be >= 1"):
+                analytic_position(m, PARAMS0)
+
+    def test_first_index_builds_its_width(self):
+        # at large delta/g the lower shift kappa_n^2 cot(theta) -> 0, so peak
+        # m = 1 exists; its spacing is to peak 2 alone
+        params = SystemParams(1e4, 100.0, 0)
+        peaks = resonance_positions(params, (1, 3))
+        assert [p.index for p in peaks] == [1, 2, 3]
+        assert ultracold._peak_spacing(1, params) == (
+            analytic_position(2, params) - analytic_position(1, params)
+        )
+        for p in peaks:
+            assert p.refined and p.position > 0.0
+            assert math.isfinite(p.width) and p.width > 0.0
+
     def test_closed_channel_peaks_refined_with_unit_amplitude(self):
         params = SystemParams(0.005, KL, 0)
         closed = [
