@@ -115,30 +115,82 @@ PRESETS: dict[str, dict] = {
 }
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".17g")
+# name and kind of every column each command emits, in order.  A column whose
+# name ends in `_hz` appears only with --g-hz.
+COLUMNS: dict[str, tuple[tuple[str, str], ...]] = {
+    "transmission": (
+        ("k", "float"), ("delta", "float"), ("T_a", "float"), ("T_b", "float"),
+        ("T_total", "float"), ("T_ultracold", "float"), ("uc_valid", "flag"),
+        ("delta_hz", "float"),
+    ),
+    "resonances": (
+        ("m", "int"), ("position", "float"), ("amplitude", "float"),
+        ("width", "float"), ("refined", "flag"), ("width_hz", "float"),
+    ),
+    "amplitude": (
+        ("delta", "float"), ("delta_hz", "float"), ("m", "int"),
+        ("position", "float"), ("amplitude", "float"),
+    ),
+    "pump": (("n", "int"), ("p_st", "float"), ("mean_p_em", "float")),
+    "select": (
+        ("delta", "float"), ("k", "float"), ("initial_density", "float"),
+        ("final_density", "float"),
+    ),
+    "oracle-check": (
+        ("k", "float"), ("delta", "float"), ("n", "int"),
+        ("coupling_length", "float"), ("delta_T_a", "float"),
+        ("delta_T_b", "float"), ("flux_error", "float"),
+    ),
+}
+
+# per column kind: its CSV field, and the Python type that JSON prints
+_CSV_FIELD = {"int": "%d", "flag": "%d", "float": "%.17g"}
+_PYTHON_TYPE = {"int": int, "flag": bool, "float": float}
 
 
-def _emit(columns: Sequence[str], rows: Iterable[Sequence], args) -> None:
+def _columns_help(command: str) -> str:
+    """'Columns: a, b [, b_hz], c' for the command's --help."""
+    names: list[str] = []
+    for name, _ in COLUMNS[command]:
+        if name.endswith("_hz"):
+            names[-1] += f" [, {name}]"
+        else:
+            names.append(name)
+    return "Columns: " + ", ".join(names)
+
+
+def _as_list(kind: str, values) -> list:
+    """The column as Python values of its kind; an array converts in one call."""
+    if isinstance(values, np.ndarray):
+        return values.astype(_PYTHON_TYPE[kind]).tolist()
+    return list(map(_PYTHON_TYPE[kind], values))
+
+
+def _write(table: Sequence[tuple[str, str, Iterable]], fmt: str, out) -> None:
+    """Write (name, kind, values) columns as CSV or JSON, one format per column."""
+    names = [name for name, _, _ in table]
+    cols = [_as_list(kind, values) for _, kind, values in table]
+    if fmt == "csv":
+        out.write(",".join(names) + "\n")
+        template = ",".join(_CSV_FIELD[kind] for _, kind, _ in table) + "\n"
+        out.writelines(template % row for row in zip(*cols))
+    else:
+        rows = [dict(zip(names, row)) for row in zip(*cols)]
+        json.dump({"columns": names, "rows": rows}, out, indent=2)
+        out.write("\n")
+
+
+def _emit(args, values: dict) -> None:
+    """Write the command's declared columns, each taking its values by name."""
+    with_hz = getattr(args, "g_hz", None) is not None
+    table = [
+        (name, kind, values[name])
+        for name, kind in COLUMNS[args.command]
+        if with_hz or not name.endswith("_hz")
+    ]
     out = sys.stdout if args.out is None else open(args.out, "w", newline="")
     try:
-        if args.format == "csv":
-            out.write(",".join(columns) + "\n")
-            for row in rows:
-                out.write(",".join(_fmt(v) for v in row) + "\n")
-        else:
-            payload = [dict(zip(columns, row)) for row in rows]
-            json.dump(
-                {"columns": list(columns), "rows": payload},
-                out,
-                indent=2,
-                default=float,
-            )
-            out.write("\n")
+        _write(table, args.format, out)
     finally:
         if out is not sys.stdout:
             out.close()
@@ -215,23 +267,26 @@ def _sweep_points(args):
 
 
 def cmd_transmission(args) -> int:
-    columns = ["k", "delta", "T_a", "T_b", "T_total", "T_ultracold", "uc_valid"]
-    if args.g_hz is not None:
-        columns.append("delta_hz")
-    rows = []
+    blocks = [(np.empty(0),) * 5 + (np.empty(0, bool),)]  # a sweep may have no rows
     points = _sweep_points(args)
     # one block's SystemParams at a time: holding all of them costs memory
     while block := list(itertools.islice(points, ARRAY_BLOCK)):
         ks, params = zip(*block)
-        ks = np.array(ks)
-        t_a, t_b = transmissions(ks, params)
-        t_uc = transmissions_ultracold(ks, params)
-        for (k, p), a, b, uc in zip(block, t_a, t_b, t_uc):
-            row = [k, p.detuning_ratio, a, b, a + b, uc, ultracold_valid(k, p)]
-            if args.g_hz is not None:
-                row.append(p.detuning_ratio * args.g_hz / TWO_PI)
-            rows.append(row)
-    _emit(columns, rows, args)
+        k = np.array(ks)
+        t_a, t_b = transmissions(k, params)
+        blocks.append((
+            k, np.array([p.detuning_ratio for p in params]), t_a, t_b,
+            transmissions_ultracold(k, params),
+            np.array(list(map(ultracold_valid, ks, params))),
+        ))
+    k, delta, t_a, t_b, t_uc, valid = map(np.concatenate, zip(*blocks))
+    values = {
+        "k": k, "delta": delta, "T_a": t_a, "T_b": t_b, "T_total": t_a + t_b,
+        "T_ultracold": t_uc, "uc_valid": valid,
+    }
+    if args.g_hz is not None:
+        values["delta_hz"] = delta * args.g_hz / TWO_PI
+    _emit(args, values)
     return 0
 
 
@@ -243,35 +298,39 @@ def cmd_resonances(args) -> int:
         raise DomainError("--k-min needs --k-max")
     else:
         peaks = resonance_positions(params, (args.m_min, args.m_max))
-    columns = ["m", "position", "amplitude", "width", "refined"]
+    values = {
+        "m": [p.index for p in peaks],
+        "position": [p.position for p in peaks],
+        "amplitude": [p.amplitude for p in peaks],
+        "width": [p.width for p in peaks],
+        "refined": [p.refined for p in peaks],
+    }
     if args.g_hz is not None:
-        columns.append("width_hz")
-    rows = []
-    for p in peaks:
-        row = [p.index, p.position, p.amplitude, p.width, p.refined]
-        if args.g_hz is not None:
-            # kinetic-energy width: E/hbar = g (k/kappa)^2, reported in Hz
-            row.append(args.g_hz * 2.0 * p.position * p.width / TWO_PI)
-        rows.append(row)
-    _emit(columns, rows, args)
+        # kinetic-energy width: E/hbar = g (k/kappa)^2, reported in Hz
+        values["width_hz"] = [
+            args.g_hz * 2.0 * p.position * p.width / TWO_PI for p in peaks
+        ]
+    _emit(args, values)
     return 0
 
 
 def cmd_amplitude(args) -> int:
-    columns = ["delta", "m", "position", "amplitude"]
-    if args.g_hz is not None:
-        columns.insert(1, "delta_hz")
-    rows = []
-    for d in np.linspace(args.delta_min, args.delta_max, args.points):
-        params = SystemParams(float(d), args.coupling_length, args.photon_number)
+    delta, position, amplitude = [], [], []
+    for d in np.linspace(args.delta_min, args.delta_max, args.points).tolist():
+        params = SystemParams(d, args.coupling_length, args.photon_number)
         pos = peak_position(args.m, params)
         if pos is None:
             continue
-        row = [float(d), args.m, pos, resonance_amplitude(pos, params)]
-        if args.g_hz is not None:
-            row.insert(1, float(d) * args.g_hz / TWO_PI)
-        rows.append(row)
-    _emit(columns, rows, args)
+        delta.append(d)
+        position.append(pos)
+        amplitude.append(resonance_amplitude(pos, params))
+    values = {
+        "delta": delta, "m": [args.m] * len(delta), "position": position,
+        "amplitude": amplitude,
+    }
+    if args.g_hz is not None:
+        values["delta_hz"] = np.array(delta) * args.g_hz / TWO_PI
+    _emit(args, values)
     return 0
 
 
@@ -292,20 +351,23 @@ def _photon_state(args, delta: float):
 
 def cmd_pump(args) -> int:
     _, _, mem, dist = _photon_state(args, args.delta)
-    rows = [[n, p, mem(n)] for n, p in enumerate(dist.probabilities)]
-    _emit(["n", "p_st", "mean_p_em"], rows, args)
+    n = range(len(dist.probabilities))
+    _emit(args, {"n": n, "p_st": dist.probabilities, "mean_p_em": list(map(mem, n))})
     return 0
 
 
 def cmd_select(args) -> int:
-    columns = ["delta", "k", "initial_density", "final_density"]
-    rows = []
+    delta, k, initial, final = [], [], [], []
     for d in args.delta:
         base, init, _, dist = _photon_state(args, d)
         fin = final_distribution(init, dist, base, jacobian=args.jacobian)
-        for k, pik, dens in zip(fin.grid, init.density_at(fin.grid), fin.density):
-            rows.append([d, k, pik, dens])
-    _emit(columns, rows, args)
+        delta += [d] * len(fin.grid)
+        k += fin.grid
+        initial += init.density_at(fin.grid).tolist()
+        final += fin.density
+    _emit(args, {
+        "delta": delta, "k": k, "initial_density": initial, "final_density": final,
+    })
     return 0
 
 
@@ -326,12 +388,7 @@ def cmd_oracle_check(args) -> int:
     rng = np.random.default_rng(args.seed)
     log_k = (math.log10(args.k_min), math.log10(args.k_max))
     log_kl = (math.log10(args.kl_min), math.log10(args.kl_max))
-    columns = [
-        "k", "delta", "n", "coupling_length",
-        "delta_T_a", "delta_T_b", "flux_error",
-    ]
-    rows = []
-    worst = 0.0
+    blocks = []
     # one block's SystemParams at a time: holding all of them costs memory
     for start in range(0, args.samples, ARRAY_BLOCK):
         draws = []
@@ -342,19 +399,22 @@ def cmd_oracle_check(args) -> int:
             kl = 10.0 ** rng.uniform(*log_kl)
             draws.append((k, d, n, kl))
         params = [SystemParams(d, kl, n) for _, d, n, kl in draws]
-        ks = np.array([draw[0] for draw in draws])
+        k, d, n, kl = map(np.array, zip(*draws))
         # the oracle first, so an ill-conditioned sample is reported before a
         # later sample's closed-form fallback meets the same system
-        o = solve_mesa(ks, params)
-        t_a, t_b = transmissions(ks, params)
-        devs = np.stack(
-            [abs(t_a - abs(o.t_a) ** 2), abs(t_b - o.T_b), abs(o.flux_sum - 1.0)],
-            axis=-1,
-        )
-        worst = max(worst, devs.max())
-        rows.extend(draw + tuple(dev) for draw, dev in zip(draws, devs.tolist()))
-    _emit(columns, rows, args)
-    if worst > args.tolerance:
+        o = solve_mesa(k, params)
+        t_a, t_b = transmissions(k, params)
+        blocks.append((
+            k, d, n, kl,
+            abs(t_a - abs(o.t_a) ** 2), abs(t_b - o.T_b), abs(o.flux_sum - 1.0),
+        ))
+    k, delta, n, kl, *devs = map(np.concatenate, zip(*blocks))
+    _emit(args, {
+        "k": k, "delta": delta, "n": n, "coupling_length": kl,
+        "delta_T_a": devs[0], "delta_T_b": devs[1], "flux_error": devs[2],
+    })
+    worst = np.max(devs)
+    if not worst <= args.tolerance:  # a nan deviation fails too
         print(
             f"oracle-check FAILED: max deviation {worst:.3e} > "
             f"tolerance {args.tolerance:.3e}",
@@ -400,10 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser(
         "transmission",
         help="T_a, T_b, T sweeps vs k/kappa or delta/g",
-        description=(
-            "Columns: k, delta, T_a, T_b, T_total, T_ultracold, uc_valid"
-            " [, delta_hz]"
-        ),
+        description=_columns_help("transmission"),
     )
     _add_common(sp, "transmission")
     sp.add_argument("--sweep", choices=("k", "delta"), default="k")
@@ -424,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser(
         "resonances",
         help="resonance catalog (positions, amplitudes, FWHM)",
-        description="Columns: m, position, amplitude, width, refined [, width_hz]",
+        description=_columns_help("resonances"),
     )
     _add_common(sp, "resonances")
     sp.add_argument("--delta", type=float, default=0.0)
@@ -440,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser(
         "amplitude",
         help="amplitude of one resonance vs detuning",
-        description="Columns: delta [, delta_hz], m, position, amplitude",
+        description=_columns_help("amplitude"),
     )
     _add_common(sp, "amplitude")
     sp.add_argument("--m", type=int, default=1001)
@@ -455,14 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("pump", "stationary photon distribution of the pumped cavity"),
         ("select", "velocity-selection pipeline (initial/final beam densities)"),
     ):
-        sp = sub.add_parser(
-            name,
-            help=helptext,
-            description=(
-                "Columns: n, p_st, mean_p_em" if name == "pump"
-                else "Columns: delta, k, initial_density, final_density"
-            ),
-        )
+        sp = sub.add_parser(name, help=helptext, description=_columns_help(name))
         _add_common(sp, name)
         if name == "pump":
             sp.add_argument("--delta", type=float, default=0.0)
@@ -486,8 +536,8 @@ def build_parser() -> argparse.ArgumentParser:
         "oracle-check",
         help="closed form vs coupled-channel solver over a random grid",
         description=(
-            "Columns: k, delta, n, coupling_length, delta_T_a, delta_T_b, "
-            "flux_error.  Exits nonzero if any deviation exceeds the tolerance."
+            _columns_help("oracle-check")
+            + ".  Exits nonzero if any deviation exceeds the tolerance."
         ),
     )
     _add_common(sp, "oracle-check")
@@ -525,6 +575,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             if any(isinstance(v, float) and not math.isfinite(v) for v in values):
                 flag = "--" + key.replace("_", "-")
                 raise DomainError(f"{flag} must be finite, got {value}")
+        points = getattr(args, "points", None)
+        if points is not None and points < 0:
+            raise DomainError(f"--points must be >= 0, got {points}")
         g_hz = getattr(args, "g_hz", None)
         if g_hz is not None and not g_hz > 0.0:
             raise DomainError(f"--g-hz must be > 0, got {g_hz}")

@@ -1,17 +1,20 @@
 """Command-line surface: determinism, formats, presets, config files, exit codes."""
 
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mazer
 from mazer import SystemParams, oracle, scatter, transmission_ultracold, ultracold_valid
-from mazer.cli import PRESETS, _read_config, build_parser, main
+from mazer.cli import COLUMNS, PRESETS, _read_config, _write, build_parser, main
 from mazer.oracle import ModeFunction, OracleSolveError, solve
 from mazer.ultracold import peak_position, resonance_amplitude
 
@@ -25,6 +28,27 @@ def run(argv, capsys=None):
 
 def read_lines(path):
     return path.read_text().splitlines()
+
+
+# a small run of every subcommand; the first three also take --g-hz
+SMALL_RUNS = {
+    "transmission": ["transmission", "--points", "3", "--delta", "-0.005", "0.005"],
+    "resonances": ["resonances", "--delta", "0", "--m-min", "1001", "--m-max", "1003"],
+    "amplitude": ["amplitude", "--points", "3"],
+    "pump": ["pump", "--truncation", "16", "--points", "101", "--k-max", "0.12"],
+    "select": ["select", "--delta", "0", "0.002", "--pump-ratio", "0",
+               "--truncation", "16", "--points", "51", "--k-max", "0.12"],
+    "oracle-check": ["oracle-check", "--samples", "5"],
+}
+G_HZ = ["--g-hz", "1e5"]
+
+
+def small_runs():
+    """(command, argv) of each small run, with and without --g-hz where it applies."""
+    for command, argv in SMALL_RUNS.items():
+        yield command, argv
+        if any(name.endswith("_hz") for name, _ in COLUMNS[command]):
+            yield command, argv + G_HZ
 
 
 class TestDeterminismAndFormats:
@@ -61,6 +85,40 @@ class TestDeterminismAndFormats:
         for line, row in zip(lines[1:], payload["rows"]):
             t_csv = float(line.split(",")[4])
             assert t_csv == pytest.approx(row["T_total"], rel=1e-15)
+
+        # every command: the JSON value of each cell is the CSV cell, exactly,
+        # typed by the column's declared kind
+        python_type = {"int": int, "flag": bool, "float": float}
+        for command, argv in small_runs():
+            assert main(argv + ["--out", str(csv_path)]) == 0
+            assert main(argv + ["--format", "json", "--out", str(json_path)]) == 0
+            header, *cells = (line.split(",") for line in read_lines(csv_path))
+            payload = json.loads(json_path.read_text())
+            assert payload["columns"] == header, argv
+            assert len(payload["rows"]) == len(cells) > 0, argv
+            kinds = dict(COLUMNS[command])
+            for row, line in zip(payload["rows"], cells):
+                assert list(row) == header
+                for (name, value), cell in zip(row.items(), line):
+                    assert type(value) is python_type[kinds[name]], (argv, name)
+                    if kinds[name] == "flag":
+                        assert cell == ("1" if value else "0")
+                    elif kinds[name] == "int":
+                        assert int(cell) == value
+                    else:
+                        assert float(cell) == value, (argv, name)
+
+    def test_help_names_the_emitted_columns(self, tmp_path):
+        out = tmp_path / "t.csv"
+        for command, argv in small_runs():
+            description = build_parser().parse_args([command]).subparser.description
+            named = description.removeprefix("Columns: ").split(".")[0]
+            if G_HZ[0] in argv:
+                named = re.sub(r" \[, (\w+)\]", r", \1", named)
+            else:
+                named = re.sub(r" \[, \w+\]", "", named)
+            assert main(argv + ["--out", str(out)]) == 0
+            assert read_lines(out)[0] == named.replace(" ", ""), argv
 
     def test_empty_sweep_emits_header_only(self, tmp_path):
         out = tmp_path / "empty.csv"
@@ -125,6 +183,47 @@ class TestDeterminismAndFormats:
             )
             assert row[6] == ("1" if ultracold_valid(k, params) else "0")
             assert float(row[7]) == pytest.approx(d * 1e5 / (2 * math.pi), rel=1e-12)
+
+
+def write(table, fmt):
+    out = io.StringIO()
+    _write(table, fmt, out)
+    return out.getvalue()
+
+
+class TestTableWriter:
+    def test_float_column_prints_17_significant_digits(self):
+        values = [
+            math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300,
+            np.float64(0.1), 7, 0.0030000000000000001,
+        ]
+        lines = write([("x", "float", values)], "csv").splitlines()
+        assert lines == ["x"] + [format(float(v), ".17g") for v in values]
+        rows = json.loads(write([("x", "float", np.array(values))], "json"))["rows"]
+        assert [type(row["x"]) for row in rows] == [float] * len(values)
+        assert [repr(row["x"]) for row in rows] == [repr(float(v)) for v in values]
+
+    def test_int_and_flag_columns(self):
+        table = [
+            ("n", "int", [np.int64(3), 10**18, 0]),
+            ("ok", "flag", [True, np.bool_(False), np.array([1])[0]]),
+        ]
+        assert write(table, "csv").splitlines() == [
+            "n,ok", "3,1", "1000000000000000000,0", "0,1",
+        ]
+        text = write(table, "json")
+        assert '"n": 1000000000000000000,' in text
+        assert json.loads(text)["rows"] == [
+            {"n": 3, "ok": True}, {"n": 10**18, "ok": False}, {"n": 0, "ok": True},
+        ]
+        assert text.count("true") == 2 and text.count("false") == 1
+
+    def test_empty_table(self):
+        table = [("k", "float", []), ("m", "int", ()), ("ok", "flag", np.empty(0))]
+        assert write(table, "csv") == "k,m,ok\n"
+        text = write(table, "json")
+        assert json.loads(text) == {"columns": ["k", "m", "ok"], "rows": []}
+        assert '"rows": []' in text
 
 
 class TestTransmissionSweeps:
@@ -429,6 +528,17 @@ class TestOracleCheckAndErrors:
         ])
         assert rc == 1
 
+    def test_oracle_check_fails_on_nan_deviation(self, tmp_path, monkeypatch, capsys):
+        # a nan deviation compares false against any tolerance
+        def nan_transmissions(k, params):
+            return np.full(len(k), math.nan), np.zeros(len(k))
+
+        monkeypatch.setattr(mazer.cli, "transmissions", nan_transmissions)
+        out = tmp_path / "oc.csv"
+        assert main(["oracle-check", "--samples", "3", "--out", str(out)]) == 1
+        assert "max deviation nan" in capsys.readouterr().err
+        assert all(line.split(",")[4] == "nan" for line in read_lines(out)[1:])
+
     @pytest.mark.parametrize(
         "window",
         [["--k-min", "0.05", "--k-max", "0.01"],
@@ -454,8 +564,6 @@ class TestOracleCheckAndErrors:
             ["transmission", "--g-hz", "nan", "--points", "3"],
             ["transmission", "--g-hz=-1e5", "--points", "3"],
             ["transmission", "--sweep", "delta", "--k", "nan", "--points", "3"],
-            ["transmission", "--points", "-1"],
-            ["amplitude", "--points", "-1"],
             # no samples would pass the tolerance gate vacuously
             ["oracle-check", "--samples", "0"],
             ["oracle-check", "--samples", "-3"],
@@ -507,6 +615,12 @@ class TestOracleCheckAndErrors:
              "--kl-min"),
             (["oracle-check", "--samples", "3", "--delta-min", "1",
               "--delta-max", "0"], "--delta-min"),
+            # a negative sample count would reach numpy, whose message names no flag
+            (["transmission", "--points", "-1"], "--points"),
+            (["transmission", "--sweep", "delta", "--points", "-1"], "--points"),
+            (["amplitude", "--points", "-1"], "--points"),
+            (["pump", "--points", "-1"], "--points"),
+            (["select", "--points", "-1"], "--points"),
         ):
             assert main(argv) == 1, argv
             err = capsys.readouterr().err.splitlines()
