@@ -1,14 +1,19 @@
-"""QUADPACK's QAGP, with an integrand that takes a numpy array of abscissae.
+"""QUADPACK's QAGP, run in lockstep over many integrals of one array integrand.
 
 A line-by-line port of `dqagpe` with `dqk21`, `dqpsrt` and `dqelg`
 (Piessens, de Doncker-Kapenga, Ueberhuber and Kahaner, QUADPACK, 1983):
 the same 21-point Gauss-Kronrod rule, bisection of the interval with the
 largest error estimate, Wynn epsilon extrapolation, roundoff and stopping
-tests.  It takes the decisions `scipy.integrate.quad(f, a, b, points=...)`
-takes, so it bisects the same intervals and returns the same result up to
-the rounding of the integrand, but it evaluates the integrand once on the
-21 (npts + 1) nodes of the first pass and then once on the 42 nodes of
-each bisection, instead of once per node.
+tests.  Each integral takes the decisions `scipy.integrate.quad(f, a, b,
+points=...)` takes, so it bisects the same intervals and returns the same
+result up to the rounding of the integrand.
+
+The port is a generator: it yields the intervals it needs ruled, first the
+npts + 1 intervals of the first pass and then the two halves of each
+bisection, and is sent back their `dqk21` results.  `qagp` runs any number
+of these integrals together: each round it evaluates the integrand once, on
+the 21 Kronrod nodes of every interval that any unfinished integral asked
+for, and hands each integral its own rows.
 
 The work arrays are 1-based, as in the Fortran (entry 0 is unused), so the
 port can be read against it statement by statement.
@@ -18,7 +23,8 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import Callable, NamedTuple, Sequence
+from itertools import islice
+from typing import Callable, Generator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -61,6 +67,17 @@ _WG = (
     0.295524224714752870173892994651338,
 )
 _XGK_ARRAY = np.array(_XGK)
+
+
+class QagpProblem(NamedTuple):
+    """One integral over [a, b], a < b, with breakpoints and `dqagpe`'s tolerances."""
+
+    a: float
+    b: float
+    points: Sequence[float]
+    epsabs: float
+    epsrel: float
+    limit: int
 
 
 class QagpResult(NamedTuple):
@@ -118,13 +135,6 @@ def _qk21(fv: Sequence[float], a: float, b: float):
     if resabs > UFLOW / (50.0 * EPMACH):
         abserr = max((EPMACH * 50.0) * resabs, abserr)
     return result, abserr, resabs, resasc
-
-
-def _qk21_batch(f, a: Sequence[float], b: Sequence[float]):
-    """`_qk21` on every interval [a_i, b_i], with one call of the integrand."""
-    nodes = _nodes(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    values = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
-    return [_qk21(fv, ai, bi) for fv, ai, bi in zip(values.tolist(), a, b)]
 
 
 def _qpsrt(limit: int, last: int, maxerr: int, elist, iord, nrmax: int):
@@ -249,21 +259,22 @@ def _qelg(n: int, epstab, res3la, nres: int):
     return result, abserr, n, nres
 
 
-def qagp(
-    f: Callable[[np.ndarray], np.ndarray],
+def _dqagpe(
     a: float,
     b: float,
     points: Sequence[float],
     epsabs: float,
     epsrel: float,
     limit: int,
-) -> QagpResult:
-    """Integral of f over [a, b], a < b, with breakpoints `points`, by `dqagpe`.
+) -> Generator[tuple[Sequence[float], Sequence[float]], list, QagpResult]:
+    """`dqagpe` on [a, b] with breakpoints `points`, as a generator.
 
-    `f` maps a 1-d array of abscissae to the array of integrand values.
-    Raises ValueError for a >= b, and where `dqagpe` returns ier = 6 for
-    invalid input: a breakpoint outside [a, b], limit <= len(points), or
-    tolerances that cannot be met.
+    It yields the left and right ends of the intervals it needs ruled, is
+    sent their `_qk21` results, and returns its `QagpResult`.
+
+    Raises ValueError, at its first step, for a >= b, and where `dqagpe`
+    returns ier = 6 for invalid input: a breakpoint outside [a, b],
+    limit <= len(points), or tolerances that cannot be met.
     """
     npts = len(points)
     npts2 = npts + 2
@@ -287,12 +298,12 @@ def qagp(
     rlist2 = [0.0] * 53
     res3la = [0.0] * 4
 
-    # first integral and error approximations, one integrand call
+    # first integral and error approximations
     ier = 0
     result = 0.0
     abserr = 0.0
     resabs = 0.0
-    first = _qk21_batch(f, pts[:-1], pts[1:])
+    first = yield pts[:-1], pts[1:]
     for i, (area1, error1, defabs, resa) in enumerate(first, start=1):
         abserr = abserr + error1
         result = result + area1
@@ -363,8 +374,8 @@ def qagp(
         a2 = b1
         b2 = blist[maxerr]
         erlast = errmax
-        (area1, error1, _, defab1), (area2, error2, _, defab2) = _qk21_batch(
-            f, (a1, a2), (b1, b2)
+        (area1, error1, _, defab1), (area2, error2, _, defab2) = yield (
+            (a1, a2), (b1, b2)
         )
 
         # improve previous approximations to integral and error, test accuracy
@@ -510,3 +521,37 @@ def _finish(result, abserr, neval, ier, last) -> QagpResult:
     if ier > 2:
         ier -= 1
     return QagpResult(result, abserr, neval, ier, last)
+
+
+def qagp(
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    problems: Sequence[QagpProblem],
+) -> list[QagpResult]:
+    """Every problem's integral by `dqagpe`, in lockstep: one call of f per round.
+
+    `f(x, owner)` maps a 1-d array of abscissae to the array of integrand
+    values, where x[i] belongs to problems[owner[i]].  Each round rules every
+    interval that the unfinished problems asked for, so each problem takes
+    exactly the steps, and returns exactly the result, it would take alone.
+    Raises ValueError for an invalid problem, before f is called.
+    """
+    ports = [_dqagpe(*problem) for problem in problems]
+    asks = {i: next(port) for i, port in enumerate(ports)}
+    results: list = [None] * len(ports)
+    while asks:
+        lo = [x for left, _ in asks.values() for x in left]
+        hi = [x for _, right in asks.values() for x in right]
+        nodes = _nodes(np.array(lo, dtype=float), np.array(hi, dtype=float))
+        owner = np.repeat(list(asks), [21 * len(left) for left, _ in asks.values()])
+        values = np.asarray(f(nodes.ravel(), owner), dtype=float)
+        rows = zip(values.reshape(nodes.shape), lo, hi)
+        asked, asks = asks, {}
+        for i, (left, _) in asked.items():
+            # one interval's values become Python floats at a time, which
+            # keeps few of them alive
+            ruled = [_qk21(fv.tolist(), a, b) for fv, a, b in islice(rows, len(left))]
+            try:
+                asks[i] = ports[i].send(ruled)
+            except StopIteration as done:
+                results[i] = done.value
+    return results

@@ -10,10 +10,10 @@ widths are ordinary Hz (angular widths divided by 2 pi).
 from __future__ import annotations
 
 import argparse
-import functools
 import itertools
 import json
 import math
+import os
 import re
 import sys
 from typing import Iterable, Sequence
@@ -191,6 +191,7 @@ def _emit(args, values: dict) -> None:
     out = sys.stdout if args.out is None else open(args.out, "w", newline="")
     try:
         _write(table, args.format, out)
+        out.flush()  # a closed pipe fails here, inside `main`, not at exit
     finally:
         if out is not sys.stdout:
             out.close()
@@ -339,9 +340,14 @@ def _photon_state(args, delta: float):
     grid = np.linspace(0.0, args.k_max, args.points)
     init = maxwell_boltzmann_initial(args.k0, grid)
 
-    @functools.cache
-    def mem(n: int) -> float:
-        return mean_p_em(n, init, base)
+    cache: dict[int, float] = {}
+
+    def mem(ns: Sequence[int]) -> list[float]:
+        """Pbar_em of each n in ns, integrating the uncached ones in one batch."""
+        missing = [n for n in ns if n not in cache]
+        if missing:
+            cache.update(zip(missing, mean_p_em(missing, init, base)))
+        return [cache[n] for n in ns]
 
     dist = stationary_distribution(
         PumpParams(args.n_b, args.pump_ratio, args.truncation), mem
@@ -352,7 +358,7 @@ def _photon_state(args, delta: float):
 def cmd_pump(args) -> int:
     _, _, mem, dist = _photon_state(args, args.delta)
     n = range(len(dist.probabilities))
-    _emit(args, {"n": n, "p_st": dist.probabilities, "mean_p_em": list(map(mem, n))})
+    _emit(args, {"n": n, "p_st": dist.probabilities, "mean_p_em": mem(n)})
     return 0
 
 
@@ -576,12 +582,19 @@ def main(argv: Sequence[str] | None = None) -> int:
                 flag = "--" + key.replace("_", "-")
                 raise DomainError(f"{flag} must be finite, got {value}")
         points = getattr(args, "points", None)
-        if points is not None and points < 0:
-            raise DomainError(f"--points must be >= 0, got {points}")
+        # pump and select sample the beam on a grid of at least two points
+        least = 2 if args.command in ("pump", "select") else 0
+        if points is not None and points < least:
+            raise DomainError(f"--points must be >= {least}, got {points}")
         g_hz = getattr(args, "g_hz", None)
         if g_hz is not None and not g_hz > 0.0:
             raise DomainError(f"--g-hz must be > 0, got {g_hz}")
         return args.func(args)
+    except BrokenPipeError:
+        # the reader closed stdout early: stop quietly, with stdout pointed at
+        # devnull so that the interpreter's flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (DomainError, OSError, ValueError, ArithmeticError, RuntimeError) as exc:
         print(f"mazer: error: {exc}", file=sys.stderr)
         return 1

@@ -176,7 +176,9 @@ class _Dressed(NamedTuple):
 
     detuning_ratio: np.ndarray
     coupling_length: np.ndarray
+    kappa_n: np.ndarray
     theta: np.ndarray
+    cot_theta: np.ndarray
     cos2_theta: np.ndarray
     sin2_theta: np.ndarray
     shift_plus: np.ndarray

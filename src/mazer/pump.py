@@ -10,18 +10,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
-from ._qagp import qagp
+from ._qagp import QagpProblem, qagp
 from .core import DomainError, SystemParams
-from .ultracold import _p_em_array, catalog_in_window
+from .scattering import ARRAY_BLOCK
+from .ultracold import _p_em_by_owner, catalog_in_window
 
 if TYPE_CHECKING:  # pragma: no cover
     from .selection import VelocityDistribution
 
 QUAD_ABS_TOL = 1e-8
+# `mean_p_em` integrates together the photon numbers whose first-pass Kronrod
+# nodes fit in this many (the fig-4 config needs 7,600-8,100 for n = 0..63);
+# a photon number that needs more runs alone
+NODE_BUDGET = 16 * ARRAY_BLOCK
 
 
 class ConfigurationError(RuntimeError):
@@ -71,18 +76,21 @@ class PhotonDistribution:
 
 
 def mean_p_em(
-    n: int,
+    ns: Sequence[int],
     initial: "VelocityDistribution",
     params_base: SystemParams,
-) -> float:
-    """Beam-averaged induced-emission probability for cavity photon number n.
+) -> list[float]:
+    """Beam-averaged induced-emission probability for each cavity photon number in ns.
 
     Integrates P_em(n, k) P_i(k) dk over the support of the initial
-    distribution with breakpoints seeded at every catalogued resonance;
+    distribution with breakpoints seeded at every catalogued resonance of n;
     the transmission peaks are orders of magnitude narrower than the beam
     distribution and plain adaptive quadrature walks straight over them.
     P_em is `p_em_ultracold`, the whole lower-state flux, transmitted plus
-    reflected.  Raises ArithmeticError if the quadrature stops at its
+    reflected.  The integrals run in lockstep (`qagp`), in groups whose
+    first-pass Kronrod nodes stay within `NODE_BUDGET`; each n takes the
+    bisections and returns the value it would alone.  Raises
+    ArithmeticError, naming the lowest such n, if a quadrature stops at its
     subdivision limit or returns a non-finite value.
     """
     norm = initial.integral()
@@ -90,19 +98,40 @@ def mean_p_em(
         raise DomainError(
             f"initial velocity distribution must be normalized, integral={norm}"
         )
-    params = SystemParams(
-        params_base.detuning_ratio, params_base.coupling_length, n
-    )
-
-    def integrand(k: np.ndarray) -> np.ndarray:
-        w = initial.density_at(k)
-        inside = w > 0.0
-        out = np.zeros_like(k)
-        out[inside] = w[inside] * _p_em_array(k[inside], params)
-        return out
-
     lo = max(float(initial.grid[0]), 1e-12)
     hi = float(initial.grid[-1])
+    # each group's breakpoints are found just before it runs, so that only
+    # one group's are held at a time
+    params = (
+        SystemParams(params_base.detuning_ratio, params_base.coupling_length, n)
+        for n in ns
+    )
+    results = []
+    for group in _groups((p, _problem(p, lo, hi)) for p in params):
+        group_params, problems = zip(*group)
+        results += qagp(_integrand(initial, group_params), problems)
+    values = []
+    for n, result in zip(ns, results):
+        # ier = 2 (roundoff) is left alone: coarse but valid runs reach it
+        if result.ier == 1:
+            raise ArithmeticError(
+                f"beam-averaged emission probability for n={n} stopped at the "
+                f"subdivision limit (ier={result.ier}, abserr={result.abserr:.3g})"
+            )
+        if not math.isfinite(result.value):
+            raise ArithmeticError(
+                f"beam-averaged emission probability for n={n} is {result.value}"
+            )
+        values.append(min(max(result.value, 0.0), 1.0))
+    return values
+
+
+def _problem(params: SystemParams, lo: float, hi: float) -> QagpProblem:
+    """The quadrature over [lo, hi] for params' photon number n.
+
+    Its breakpoints are n's catalogued peaks and the points 5 widths to
+    either side of each.
+    """
     points = []
     for peak in catalog_in_window(params, hi, lo):
         points.append(peak.position)
@@ -111,8 +140,7 @@ def mean_p_em(
             if lo < q < hi:
                 points.append(q)
     points = sorted(set(points))
-    result = qagp(
-        integrand,
+    return QagpProblem(
         lo,
         hi,
         points,
@@ -121,28 +149,53 @@ def mean_p_em(
         # room to bisect each of the len(points) + 1 intervals at least once
         limit=max(400, 2 * (len(points) + 1)),
     )
-    value = result.value
-    # ier = 2 (roundoff) is left alone: coarse but valid runs reach it
-    if result.ier == 1:
-        raise ArithmeticError(
-            f"beam-averaged emission probability for n={n} stopped at the "
-            f"subdivision limit (ier={result.ier}, abserr={result.abserr:.3g})"
-        )
-    if not math.isfinite(value):
-        raise ArithmeticError(
-            f"beam-averaged emission probability for n={n} is {value}"
-        )
-    return min(max(value, 0.0), 1.0)
+
+
+def _groups(pairs: Iterable[tuple[SystemParams, QagpProblem]]):
+    """Runs of consecutive (params, problem) whose first-pass nodes fit in `NODE_BUDGET`."""
+    group: list = []
+    nodes = 0
+    for pair in pairs:
+        need = 21 * (len(pair[1].points) + 1)  # 21 Kronrod nodes per interval
+        if group and nodes + need > NODE_BUDGET:
+            yield group
+            group, nodes = [], 0
+        group.append(pair)
+        nodes += need
+    if group:
+        yield group
+
+
+def _integrand(initial: "VelocityDistribution", params: Sequence[SystemParams]):
+    """P_em(k) P_i(k) as f(k, owner), point i taking params[owner[i]].
+
+    Evaluated `ARRAY_BLOCK` points at a time, which bounds its temporaries.
+    """
+    p_em = _p_em_by_owner(params)
+
+    def integrand(k: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(k)
+        for lo in range(0, k.size, ARRAY_BLOCK):
+            block = slice(lo, lo + ARRAY_BLOCK)
+            kb, ob = k[block], owner[block]
+            w = initial.density_at(kb)
+            inside = w > 0.0
+            out[block][inside] = w[inside] * p_em(kb[inside], ob[inside])
+        return out
+
+    return integrand
 
 
 def stationary_distribution(
-    pump: PumpParams, mean_em: Callable[[int], float]
+    pump: PumpParams, mean_em: Callable[[range], Sequence[float]]
 ) -> PhotonDistribution:
     """Stationary photon distribution of the pumped, damped cavity.
 
     P(n) proportional to prod_{m=1..n} [n_b + (r/C) Pbar_em(m-1)/m]/(n_b+1),
     built in log space and normalized.  The truncation grows until the tail
-    probability drops below 1e-12.
+    probability drops below 1e-12.  `mean_em` takes a `range` of photon
+    numbers and returns their Pbar_em in order: it is called once for
+    0..N_max-1 and once more each time the truncation doubles.
     """
     n_b = pump.thermal_photons
     if pump.pump_ratio > 0.0:
@@ -154,12 +207,13 @@ def stationary_distribution(
     log_ratios: list[float] = []
 
     def extend(to: int) -> None:
-        for m in range(len(log_ratios) + 1, to + 1):
-            em = mean_em(m - 1)
+        ns = range(len(log_ratios), to)
+        for n, em in zip(ns, mean_em(ns), strict=True):
             if not math.isfinite(em):
                 raise ConfigurationError(
-                    f"mean emission probability for n={m - 1} is {em}"
+                    f"mean emission probability for n={n} is {em}"
                 )
+            m = n + 1
             num = n_b + pump.pump_ratio * em / m
             log_ratios.append(
                 (-math.inf if num == 0.0 else math.log(num)) - ratio_den
@@ -192,5 +246,5 @@ def thermal_distribution(n_b: float, n_max: int) -> PhotonDistribution:
     """Pure thermal reference distribution, the r/C -> 0 limit."""
     return stationary_distribution(
         PumpParams(thermal_photons=n_b, pump_ratio=0.0, truncation=n_max),
-        lambda n: 0.0,
+        lambda ns: [0.0] * len(ns),
     )

@@ -236,19 +236,25 @@ def scatter(k: float, params: SystemParams) -> ScatteringResult:
     )
 
 
-def _blockwise(k, params, evaluate):
+def _blockwise(k, params, evaluate, owner=None):
     """`evaluate(k, dressed, each)` over the points of k, `ARRAY_BLOCK` at a time.
 
     k (> 0) and params are as for `transmissions`.  `evaluate` gets a 1-d block
     of k, what the closed form reads for it (params, or the block's
     `_Dressed.stack`) and each point's `SystemParams`; it returns arrays over
-    the block, which come back joined in k's shape.
+    the block, which come back joined in k's shape.  With `owner`, an integer
+    array shaped like k, params is instead a `_Dressed` record whose row
+    owner[i] point i takes: each block gathers its rows, and `each` is None.
     """
     k = np.asarray(k, dtype=float)
     if not np.all(k > 0.0):
         raise DomainError(f"incident wavenumbers must be > 0, got {k.min()}")
     single = isinstance(params, SystemParams)
-    if not single and (k.ndim != 1 or len(params) != k.size):
+    if owner is not None:
+        owner = np.asarray(owner).ravel()
+        if owner.size != k.size:
+            raise ValueError(f"need one owner per point, got {owner.size} for {k.size}")
+    elif not single and (k.ndim != 1 or len(params) != k.size):
         raise ValueError(
             f"need one SystemParams per point, got {len(params)} for k of shape {k.shape}"
         )
@@ -257,6 +263,10 @@ def _blockwise(k, params, evaluate):
     # an empty k still makes one (empty) call, so that every output has an array
     for lo in range(0, max(flat.size, 1), ARRAY_BLOCK):
         block = flat[lo:lo + ARRAY_BLOCK]
+        if owner is not None:
+            rows = owner[lo:lo + ARRAY_BLOCK]
+            blocks.append(evaluate(block, params._make(f[rows] for f in params), None))
+            continue
         each = [params] * block.size if single else params[lo:lo + ARRAY_BLOCK]
         blocks.append(evaluate(block, params if single else _Dressed.stack(each), each))
     return tuple(np.concatenate(out).reshape(k.shape) for out in zip(*blocks))

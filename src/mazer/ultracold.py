@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from ._brent import brentq, minimize_bounded
 from .core import DomainError, SystemParams, _channels, _incident, _is_open
-from .core import _ArrayOps, _ScalarOps
+from .core import _ArrayOps, _Dressed, _ScalarOps
 from .scattering import DegeneracyError, _blockwise, _inverse_denominator, _tau, tau_pm
 
 # Operationalization of the paper-regime conditions "k << kappa_n sqrt(tan)"
@@ -98,8 +99,11 @@ def _at_point(closed_form, k, params: SystemParams) -> float:
     return value
 
 
-def _at_points(closed_form, k, params) -> np.ndarray:
-    """The array entry contract: closed_form over the array k, raising where not ok."""
+def _at_points(closed_form, k, params, owner=None) -> np.ndarray:
+    """The array entry contract: closed_form over the array k, raising where not ok.
+
+    k, params and owner are as for `scattering._blockwise`.
+    """
 
     def evaluate(k, dressed, each):
         with np.errstate(all="ignore"):
@@ -108,7 +112,7 @@ def _at_points(closed_form, k, params) -> np.ndarray:
             raise DegeneracyError(f"degenerate resonance denominator at k={k[~ok][0]}")
         return (value,)
 
-    return _blockwise(k, params, evaluate)[0]
+    return _blockwise(k, params, evaluate, owner)[0]
 
 
 def transmission_ultracold(k: float, params: SystemParams) -> float:
@@ -132,8 +136,17 @@ def p_em_ultracold(k: float, params: SystemParams) -> float:
 
 def _p_em_array(k, params: SystemParams) -> np.ndarray:
     """`p_em_ultracold` over the array k, to a few ulp, for one `SystemParams`."""
-    # not one per point: P_em reads cot_theta and kappa_n, which `_Dressed` lacks
     return _at_points(_p_em_closed_form, k, params)
+
+
+def _p_em_by_owner(params: Sequence[SystemParams]):
+    """`_p_em_array` as f(k, owner), where point i of k takes params[owner[i]].
+
+    The params are stacked once; each `ARRAY_BLOCK` slice of k gathers its
+    rows of them, so no `SystemParams` is built or stacked per point.
+    """
+    record = _Dressed.stack(params)
+    return lambda k, owner: _at_points(_p_em_closed_form, k, record, owner)
 
 
 def loeffler_resonant(

@@ -224,10 +224,11 @@ def test_acceptance_8_velocity_selection_pipeline():
         base = SystemParams(d, KL200PI, 0)
         cache = {}
 
-        def mem(n: int) -> float:
-            if n not in cache:
-                cache[n] = mean_p_em(n, init, base)
-            return cache[n]
+        def mem(ns: range) -> list[float]:
+            missing = [n for n in ns if n not in cache]
+            if missing:
+                cache.update(zip(missing, mean_p_em(missing, init, base)))
+            return [cache[n] for n in ns]
 
         dist = stationary_distribution(pump, mem)
         fin = final_distribution(init, dist, base)

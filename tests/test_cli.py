@@ -621,6 +621,11 @@ class TestOracleCheckAndErrors:
             (["amplitude", "--points", "-1"], "--points"),
             (["pump", "--points", "-1"], "--points"),
             (["select", "--points", "-1"], "--points"),
+            # pump and select need two beam grid points
+            (["pump", "--points", "0"], "--points"),
+            (["pump", "--points", "1"], "--points"),
+            (["select", "--points", "0"], "--points"),
+            (["select", "--points", "1"], "--points"),
         ):
             assert main(argv) == 1, argv
             err = capsys.readouterr().err.splitlines()
@@ -678,3 +683,20 @@ def test_no_code_path_needs_scipy(tmp_path):
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_closed_pipe_exits_quietly():
+    """A reader that stops after one line ends the run with exit 0 and no message."""
+    src = Path(mazer.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "mazer.cli", "transmission", "--preset", "fig1a"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    try:
+        assert proc.stdout.readline().startswith(b"k,delta,")
+        proc.stdout.close()  # the table is far larger than the pipe's buffer
+        _, err = proc.communicate(timeout=300)
+    finally:
+        proc.kill()
+    assert proc.returncode == 0 and err == b"", err

@@ -168,7 +168,7 @@ class TestMeanPEm:
         grid = np.linspace(0.0497, 0.0503, 2001)
         base = SystemParams(0.0, KL200, 0)
         init = maxwell_boltzmann_initial(0.05, grid)
-        value = mean_p_em(0, init, base)
+        (value,) = mean_p_em([0], init, base)
         dens = np.asarray(init.density)
         kern = np.array([p_em_ultracold(float(k), base) for k in grid])
         ref = np.trapezoid(kern * dens, grid)
@@ -178,15 +178,15 @@ class TestMeanPEm:
         grid = np.linspace(0.0, 0.2, 801)
         init = maxwell_boltzmann_initial(0.05, grid)
         base = SystemParams(0.05, KL200, 0)  # b closed over the whole support
-        assert mean_p_em(0, init, base) == 0.0
+        assert mean_p_em([0], init, base) == [0.0]
 
     def test_self_convergence_under_tighter_quadrature(self, monkeypatch):
         grid = np.linspace(0.0, 0.2, 1001)
         init = maxwell_boltzmann_initial(0.05, grid)
         base = SystemParams(0.0, KL200, 0)
-        coarse = mean_p_em(0, init, base)
+        (coarse,) = mean_p_em([0], init, base)
         monkeypatch.setattr(pump, "QUAD_ABS_TOL", 1e-10)
-        fine = mean_p_em(0, init, base)
+        (fine,) = mean_p_em([0], init, base)
         assert 0.0 < coarse < 1.0
         assert abs(coarse - fine) < 1e-6
 
@@ -195,59 +195,89 @@ class TestMeanPEm:
 
         bad = VelocityDistribution(grid=(0.0, 0.1, 0.2), density=(0.0, 1.0, 0.0))
         with pytest.raises(DomainError):
-            mean_p_em(0, bad, SystemParams(0.0, KL200, 0))
+            mean_p_em([0], bad, SystemParams(0.0, KL200, 0))
 
     def test_nan_emission_raises(self, monkeypatch):
-        nan_kernel = lambda k, params: np.full_like(k, np.nan)
-        monkeypatch.setattr(pump, "_p_em_array", nan_kernel)
+        nan_kernel = lambda params: lambda k, owner: np.full_like(k, np.nan)
+        monkeypatch.setattr(pump, "_p_em_by_owner", nan_kernel)
         init = maxwell_boltzmann_initial(0.05, np.linspace(0.0, 0.2, 1001))
         with pytest.raises(ArithmeticError, match="n=3"):
-            mean_p_em(3, init, SystemParams(0.0, KL200, 0))
+            mean_p_em([3], init, SystemParams(0.0, KL200, 0))
 
     def test_integrand(self, monkeypatch):
         # delta/g = 0.002 closes channel b below k = 0.0447
-        params = SystemParams(0.002, KL200, 3)
+        ns = (3, 5)
         init = maxwell_boltzmann_initial(0.05, np.linspace(0.0, 0.2, 1001))
         integrands = []
 
-        def capture(f, *args, **tols):
+        def capture(f, problems):
             integrands.append(f)
-            return SimpleNamespace(value=0.0, abserr=0.0, ier=0)
+            return [SimpleNamespace(value=0.0, abserr=0.0, ier=0)] * len(problems)
 
         monkeypatch.setattr(pump, "qagp", capture)
-        mean_p_em(3, init, SystemParams(0.002, KL200, 0))
+        mean_p_em(ns, init, SystemParams(0.002, KL200, 0))
         (integrand,) = integrands
         # the last point lies past the grid, where the beam has no atoms
         ks = np.append(np.linspace(0.01, 0.15, 57), 0.25)
         w = init.density_at(ks)
         inside = w > 0.0
         assert not inside[-1] and inside[:-1].all()
-        values = integrand(ks)
+        # point i belongs to the integral of ns[owner[i]]
+        owner = np.arange(ks.size) % 2
+        values = integrand(ks, owner)
         assert np.all(values[~inside] == 0.0)
-        ks, w = ks[inside], w[inside]
-        p_em = _p_em_array(ks, params)
-        assert np.array_equal(values[inside], w * p_em)
-        for k, u in zip(ks, p_em):
-            assert abs(u - p_em_ultracold(float(k), params)) <= 1e-14
+        for j, n in enumerate(ns):
+            params = SystemParams(0.002, KL200, n)
+            mine = inside & (owner == j)
+            p_em = _p_em_array(ks[mine], params)
+            assert np.array_equal(values[mine], w[mine] * p_em)
+            for k, u in zip(ks[mine], p_em):
+                assert abs(u - p_em_ultracold(float(k), params)) <= 1e-14
+
+    @pytest.mark.parametrize("delta", [-0.002, 0.0, 0.002, 0.005])
+    def test_lockstep_matches_one_photon_number_at_a_time(self, delta):
+        # the fig-4 config: every n takes the steps and the bits it takes alone
+        init = maxwell_boltzmann_initial(0.05, np.linspace(0.0, 0.2, 1001))
+        base = SystemParams(delta, KL200, 0)
+        alone = [mean_p_em([n], init, base)[0] for n in range(65)]
+        assert mean_p_em(range(65), init, base) == alone
+
+    def test_node_budget_bounds_the_first_pass(self, monkeypatch):
+        # at kappa L = 25000 one photon number needs up to 9,954 first-pass nodes
+        init = maxwell_boltzmann_initial(0.05, np.linspace(0.0, 0.2, 1001))
+        batches = []
+
+        def spy(f, problems):
+            batches.append([21 * (len(p.points) + 1) for p in problems])
+            return [SimpleNamespace(value=0.5, abserr=0.0, ier=0)] * len(problems)
+
+        monkeypatch.setattr(pump, "qagp", spy)
+        assert mean_p_em(range(200), init, SystemParams(0.0, 25000.0, 0)) == [0.5] * 200
+        assert sum(map(len, batches)) == 200
+        assert max(map(sum, batches)) <= pump.NODE_BUDGET
+        # a batch closes only when the next problem would not fit
+        for batch, after in zip(batches, batches[1:]):
+            assert sum(batch) + after[0] > pump.NODE_BUDGET
+        assert max(map(len, batches)) > 1
 
     def test_subdivision_limit_is_an_error(self, monkeypatch):
         init = maxwell_boltzmann_initial(0.05, np.linspace(0.0, 0.2, 201))
         base = SystemParams(0.002, KL200, 0)
         stopped = SimpleNamespace(value=0.25, abserr=3e-7, ier=1)
-        monkeypatch.setattr(pump, "qagp", lambda *args, **tols: stopped)
+        monkeypatch.setattr(pump, "qagp", lambda f, problems: [stopped])
         with pytest.raises(ArithmeticError, match=r"n=2 .*ier=1, abserr=3e-07"):
-            mean_p_em(2, init, base)
+            mean_p_em([2], init, base)
         # the roundoff flag (ier = 2) is reached on coarse but valid runs
         roundoff = SimpleNamespace(value=0.25, abserr=3e-7, ier=2)
-        monkeypatch.setattr(pump, "qagp", lambda *args, **tols: roundoff)
-        assert mean_p_em(2, init, base) == 0.25
+        monkeypatch.setattr(pump, "qagp", lambda f, problems: [roundoff])
+        assert mean_p_em([2], init, base) == [0.25]
 
 
 class TestStationaryDistribution:
     def test_zero_pump_ratio_is_thermal(self):
         n_b = 0.2
         dist = stationary_distribution(
-            PumpParams(n_b, 0.0, 32), lambda n: 0.7
+            PumpParams(n_b, 0.0, 32), lambda ns: [0.7] * len(ns)
         )
         ratio = n_b / (1.0 + n_b)
         norm = 1.0 - ratio ** len(dist.probabilities)
@@ -256,26 +286,28 @@ class TestStationaryDistribution:
             assert p == pytest.approx(expected, abs=1e-12)
 
     def test_zero_emission_is_thermal_for_any_pump(self):
-        a = stationary_distribution(PumpParams(0.3, 250.0, 32), lambda n: 0.0)
+        a = stationary_distribution(
+            PumpParams(0.3, 250.0, 32), lambda ns: [0.0] * len(ns)
+        )
         b = thermal_distribution(0.3, 32)
         assert np.allclose(a.probabilities, b.probabilities, atol=1e-14)
 
     def test_normalization_and_tail(self):
         dist = stationary_distribution(
-            PumpParams(0.2, 100.0, 16), lambda n: 0.5 / (n + 1.0)
+            PumpParams(0.2, 100.0, 16), lambda ns: [0.5 / (n + 1.0) for n in ns]
         )
         assert math.fsum(dist.probabilities) == pytest.approx(1.0, abs=1e-12)
         assert dist.probabilities[-1] < 1e-12
 
     def test_log_space_matches_direct_product(self):
         n_b, r_c = 0.1, 5.0
-        mean_em = lambda n: 0.3
+        mean_em = lambda ns: [0.3] * len(ns)
         dist = stationary_distribution(PumpParams(n_b, r_c, 50), mean_em)
         n_terms = len(dist.probabilities)
         direct = [1.0]
         for m in range(1, n_terms):
             direct.append(
-                direct[-1] * (n_b + r_c * mean_em(m - 1) / m) / (n_b + 1.0)
+                direct[-1] * (n_b + r_c * mean_em([m - 1])[0] / m) / (n_b + 1.0)
             )
         direct = np.asarray(direct) / math.fsum(direct)
         assert np.max(np.abs(direct - np.asarray(dist.probabilities))) < 1e-10
@@ -283,13 +315,15 @@ class TestStationaryDistribution:
     def test_divergent_product_signalled(self):
         # a kernel growing ~n keeps the recursion ratio above 1 forever
         with pytest.raises(ConfigurationError):
-            stationary_distribution(PumpParams(0.2, 3.0, 16), lambda n: float(n))
+            stationary_distribution(
+                PumpParams(0.2, 3.0, 16), lambda ns: [float(n) for n in ns]
+            )
         # a thermal floor that misses the tail criterion fails before mean_em
         calls = []
 
-        def counting_mean_em(n):
-            calls.append(n)
-            return 0.1
+        def counting_mean_em(ns):
+            calls.append(ns)
+            return [0.1] * len(ns)
 
         with pytest.raises(ConfigurationError):
             stationary_distribution(PumpParams(1e6, 100.0), counting_mean_em)
@@ -299,13 +333,13 @@ class TestStationaryDistribution:
         # a nan must not pass for a divergent product after 65,536 calls
         calls = []
 
-        def nan_mean_em(n):
-            calls.append(n)
-            return math.nan
+        def nan_mean_em(ns):
+            calls.append(ns)
+            return [math.nan] * len(ns)
 
         with pytest.raises(ConfigurationError, match="n=0"):
             stationary_distribution(PumpParams(0.2, 100.0, 64), nan_mean_em)
-        assert calls == [0]
+        assert calls == [range(0, 64)]
 
 
 def test_pump_binds_no_private_kernel_name():

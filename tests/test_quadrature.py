@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 import mazer.pump as pump
-from mazer._qagp import qagp
+from mazer._qagp import QagpProblem, qagp
 from mazer.core import SystemParams
 from mazer.selection import maxwell_boltzmann_initial
 from mazer.ultracold import p_em_ultracold
@@ -19,7 +19,20 @@ TIGHT = dict(epsabs=1e-300, epsrel=1e-14)
 
 def on_array(f):
     """The scalar integrand f evaluated at every point of an array."""
-    return lambda x: np.array([f(v) for v in x.tolist()])
+    return lambda x, owner: np.array([f(v) for v in x.tolist()])
+
+
+def by_owner(integrands):
+    """One lockstep integrand: point i is integrands[owner[i]]'s, given owner 0."""
+
+    def f(x, owner):
+        out = np.empty_like(x)
+        for j, g in enumerate(integrands):
+            mine = owner == j
+            out[mine] = g(x[mine], np.zeros(mine.sum(), dtype=int))
+        return out
+
+    return f
 
 
 def quad_info(f, a, b, points, **tols):
@@ -32,103 +45,145 @@ def extrapolated(value, info) -> bool:
     return abs(value - math.fsum(info["rlist"][: info["last"]])) > 1e-12
 
 
-def port_and_quad(monkeypatch, delta, n, kl):
-    """Check `mean_p_em`'s QAGP call against quad on the same interval.
+GRID = np.linspace(0.0, 0.2, 1001)
 
-    quad integrates the scalar form of the integrand, with the breakpoints
-    and tolerances `mean_p_em` passed to the port.  Returns those
-    breakpoints and tolerances, and quad's value and infodict.
-    """
+
+def mean_p_em_problem(monkeypatch, delta, n, kl):
+    """`mean_p_em([n])` at (delta, kappa L): its value, integrand and QAGP problem."""
     calls = []
 
-    def spy(f, a, b, points, **tols):
-        calls.append((f, a, b, points, tols))
-        return qagp(f, a, b, points, **tols)
+    def spy(f, problems):
+        calls.append((f, problems))
+        return qagp(f, problems)
 
     monkeypatch.setattr(pump, "qagp", spy)
-    grid = np.linspace(0.0, 0.2, 1001)
-    init = maxwell_boltzmann_initial(0.05, grid)
-    mean = pump.mean_p_em(n, init, SystemParams(delta, kl, 0))
-    ((f, a, b, points, tols),) = calls
-    assert points and tols["epsabs"] == pump.QUAD_ABS_TOL
+    init = maxwell_boltzmann_initial(0.05, GRID)
+    (mean,) = pump.mean_p_em([n], init, SystemParams(delta, kl, 0))
+    ((f, (problem,)),) = calls
+    assert problem.points and problem.epsabs == pump.QUAD_ABS_TOL
+    return mean, f, problem
+
+
+def quad_of_problem(problem, delta, n, kl):
+    """quad on the scalar form of `mean_p_em`'s integrand, as set up by `problem`."""
     params = SystemParams(delta, kl, n)
-    density = init.interpolator()
+    density = maxwell_boltzmann_initial(0.05, GRID).interpolator()
 
     def scalar_integrand(k: float) -> float:
         w = float(density(k))
         return w * p_em_ultracold(k, params) if w > 0.0 else 0.0
 
-    value, _, info = quad_info(scalar_integrand, a, b, points, **tols)
-    ours = qagp(f, a, b, points, **tols)
+    a, b, points, epsabs, epsrel, limit = problem
+    return quad_info(
+        scalar_integrand, a, b, points, epsabs=epsabs, epsrel=epsrel, limit=limit
+    )
+
+
+def check_against_quad(mean, problem, ours, delta, n, kl):
+    """The port's result on `problem` takes quad's steps, and is `mean_p_em`'s value."""
+    value, _, info = quad_of_problem(problem, delta, n, kl)
     assert (ours.neval, ours.last) == (info["neval"], info["last"])
     # the array P_em rounds a few ulp away from the scalar one
     assert ours.value == mean == pytest.approx(value, rel=1e-14)
-    return points, tols, value, info
+    return value, info
+
+
+# (delta/g, n) of the fig-4 config, and whether quad's result there is the
+# epsilon-extrapolated value (1.3e-9 and 5.8e-9 from the plain sum)
+FIG4_CASES = [(-0.002, 1, False), (0.0, 4, False), (0.002, 2, True), (0.005, 35, True)]
+
+
+@pytest.fixture(scope="module")
+def fig4_lockstep():
+    """The four fig-4 cases' `mean_p_em` values and problems, and the results of
+    all four problems run as one lockstep batch."""
+    with pytest.MonkeyPatch.context() as mp:
+        cases = [mean_p_em_problem(mp, delta, n, KL200) for delta, n, _ in FIG4_CASES]
+    means, integrands, problems = zip(*cases)
+    results = qagp(by_owner(integrands), problems)
+    return dict(zip(FIG4_CASES, zip(means, problems, results)))
 
 
 class TestFig4Integrand:
-    # (delta/g, n) of the fig-4 config, and whether quad's result there is
-    # the epsilon-extrapolated value (1.3e-9 and 5.8e-9 from the plain sum)
-    @pytest.mark.parametrize(
-        "delta, n, extrapolates",
-        [(-0.002, 1, False), (0.0, 4, False), (0.002, 2, True), (0.005, 35, True)],
-    )
-    def test_matches_quad_on_mean_p_em(self, monkeypatch, delta, n, extrapolates):
-        points, tols, value, info = port_and_quad(monkeypatch, delta, n, KL200)
-        assert tols["limit"] == 400
+    @pytest.mark.parametrize("delta, n, extrapolates", FIG4_CASES)
+    def test_matches_quad_on_mean_p_em(self, fig4_lockstep, delta, n, extrapolates):
+        mean, problem, ours = fig4_lockstep[delta, n, extrapolates]
+        value, info = check_against_quad(mean, problem, ours, delta, n, KL200)
+        assert problem.limit == 400
         assert extrapolated(value, info) == extrapolates
 
     def test_matches_quad_past_400_breakpoints(self, monkeypatch):
         # kappa L = 25000 puts 473 breakpoints in the fig-4 window, more than
         # a limit of 400 subintervals admits
-        points, tols, _, _ = port_and_quad(monkeypatch, 0.0, 0, 25000.0)
-        assert (len(points), tols["limit"]) == (473, 948)
+        mean, f, problem = mean_p_em_problem(monkeypatch, 0.0, 0, 25000.0)
+        (ours,) = qagp(f, [problem])
+        check_against_quad(mean, problem, ours, 0.0, 0, 25000.0)
+        assert (len(problem.points), problem.limit) == (473, 948)
+
+
+# (f, a, b, points, tols, exact)
+CLASSIC = [
+    # endpoint singularity, no breakpoints: int_0^1 x^-1/2 log x = -4
+    (lambda x: x**-0.5 * math.log(x), 0.0, 1.0, [], dict(epsabs=1e-10), -4.0),
+    # singularity at an interior breakpoint
+    (lambda x: abs(x - 1.0 / 3.0) ** -0.5, 0.0, 1.0, [1.0 / 3.0], {},
+     2.0 * (math.sqrt(1.0 / 3.0) + math.sqrt(2.0 / 3.0))),
+    # oscillatory, across two breakpoints: int_0^10 cos(50 x) e^-x
+    (lambda x: math.cos(50.0 * x) * math.exp(-x), 0.0, 10.0, [2.5, 5.0],
+     dict(epsabs=1e-12),
+     (1.0 - math.exp(-10.0) * (math.cos(500.0) - 50.0 * math.sin(500.0))) / 2501.0),
+]
+# (f, points, tols, ier) on [0, 1]
+FLAGGED = [
+    # 1/x is not integrable at 0: stops at the subdivision limit
+    (lambda x: 1.0 / x, [0.5], dict(limit=50), 1),
+    # roundoff detected in the subdivision
+    (lambda x: math.log(abs(x - 0.3)), [], TIGHT, 2),
+    # roundoff detected in the extrapolation table
+    (lambda x: abs(x - 0.3) ** -0.5, [0.3], TIGHT, 4),
+]
 
 
 class TestClassicIntegrands:
     """Same integrand values in, bit-identical results out."""
 
     @pytest.mark.parametrize(
-        "f, a, b, points, tols, exact",
-        [
-            # endpoint singularity, no breakpoints: int_0^1 x^-1/2 log x = -4
-            (lambda x: x**-0.5 * math.log(x), 0.0, 1.0, [], dict(epsabs=1e-10),
-             -4.0),
-            # singularity at an interior breakpoint
-            (lambda x: abs(x - 1.0 / 3.0) ** -0.5, 0.0, 1.0, [1.0 / 3.0], {},
-             2.0 * (math.sqrt(1.0 / 3.0) + math.sqrt(2.0 / 3.0))),
-            # oscillatory, across two breakpoints: int_0^10 cos(50 x) e^-x
-            (lambda x: math.cos(50.0 * x) * math.exp(-x), 0.0, 10.0, [2.5, 5.0],
-             dict(epsabs=1e-12),
-             (1.0 - math.exp(-10.0) * (math.cos(500.0) - 50.0 * math.sin(500.0)))
-             / 2501.0),
-        ],
+        "f, a, b, points, tols, exact", CLASSIC,
         ids=["endpoint", "interior", "oscillatory"],
     )
     def test_matches_quad(self, f, a, b, points, tols, exact):
         tols = {**TOLS, **tols}
         value, abserr, info = quad_info(f, a, b, points, **tols)
-        ours = qagp(on_array(f), a, b, points, **tols)
+        (ours,) = qagp(on_array(f), [QagpProblem(a, b, points, **tols)])
         assert ours == (value, abserr, info["neval"], 0, info["last"])
         assert value == pytest.approx(exact, rel=1e-11)
 
     @pytest.mark.parametrize(
-        "f, points, tols, ier",
-        [
-            # 1/x is not integrable at 0: stops at the subdivision limit
-            (lambda x: 1.0 / x, [0.5], dict(limit=50), 1),
-            # roundoff detected in the subdivision
-            (lambda x: math.log(abs(x - 0.3)), [], TIGHT, 2),
-            # roundoff detected in the extrapolation table
-            (lambda x: abs(x - 0.3) ** -0.5, [0.3], TIGHT, 4),
-        ],
+        "f, points, tols, ier", FLAGGED,
         ids=["limit", "roundoff", "extrapolation-roundoff"],
     )
     def test_error_flags_match_quad(self, f, points, tols, ier):
         tols = {**TOLS, **tols}
         value, abserr, info = quad_info(f, 0.0, 1.0, points, **tols)
-        ours = qagp(on_array(f), 0.0, 1.0, points, **tols)
+        (ours,) = qagp(on_array(f), [QagpProblem(0.0, 1.0, points, **tols)])
         assert ours == (value, abserr, info["neval"], ier, info["last"])
+
+    def test_lockstep_batch_matches_quad(self):
+        # problems that stop after different numbers of rounds, some with a flag
+        cases = [(f, a, b, points, {**TOLS, **tols}, 0)
+                 for f, a, b, points, tols, _ in CLASSIC]
+        cases += [(f, 0.0, 1.0, points, {**TOLS, **tols}, ier)
+                  for f, points, tols, ier in FLAGGED]
+        results = qagp(
+            by_owner([on_array(f) for f, *_ in cases]),
+            [QagpProblem(a, b, points, **tols) for _, a, b, points, tols, _ in cases],
+        )
+        lasts = set()
+        for (f, a, b, points, tols, ier), ours in zip(cases, results):
+            value, abserr, info = quad_info(f, a, b, points, **tols)
+            assert ours == (value, abserr, info["neval"], ier, info["last"])
+            lasts.add(ours.last)
+        assert len(lasts) > 1
 
     @pytest.mark.parametrize(
         "b, points, limit, epsabs",
@@ -141,5 +196,14 @@ class TestClassicIntegrands:
     )
     def test_invalid_input_rejected(self, b, points, limit, epsabs):
         epsrel = 1e-16 if epsabs == 0.0 else 1e-10
+        calls = []
+
+        def f(x, owner):
+            calls.append(x)
+            return x
+
+        # a valid problem in the same batch is not integrated either
+        valid = QagpProblem(0.0, 1.0, [], 1e-8, 1e-10, 400)
         with pytest.raises(ValueError):
-            qagp(lambda x: x, 0.0, b, points, epsabs, epsrel, limit)
+            qagp(f, [valid, QagpProblem(0.0, b, points, epsabs, epsrel, limit)])
+        assert calls == []
