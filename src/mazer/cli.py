@@ -26,8 +26,8 @@ from .pump import PumpParams, mean_p_em, stationary_distribution
 from .scattering import ARRAY_BLOCK, transmissions
 from .selection import final_distribution, maxwell_boltzmann_initial, refined_grid
 from .ultracold import (
+    _peak_positions,
     catalog_in_window,
-    peak_position,
     resonance_amplitude,
     resonance_positions,
     transmissions_ultracold,
@@ -125,7 +125,8 @@ COLUMNS: dict[str, tuple[tuple[str, str], ...]] = {
     ),
     "resonances": (
         ("m", "int"), ("position", "float"), ("amplitude", "float"),
-        ("width", "float"), ("refined", "flag"), ("width_hz", "float"),
+        ("width", "float"), ("resolved", "flag"), ("refined", "flag"),
+        ("width_hz", "float"),
     ),
     "amplitude": (
         ("delta", "float"), ("delta_hz", "float"), ("m", "int"),
@@ -304,6 +305,7 @@ def cmd_resonances(args) -> int:
         "position": [p.position for p in peaks],
         "amplitude": [p.amplitude for p in peaks],
         "width": [p.width for p in peaks],
+        "resolved": [p.resolved for p in peaks],
         "refined": [p.refined for p in peaks],
     }
     if args.g_hz is not None:
@@ -317,10 +319,10 @@ def cmd_resonances(args) -> int:
 
 def cmd_amplitude(args) -> int:
     delta, position, amplitude = [], [], []
-    for d in np.linspace(args.delta_min, args.delta_max, args.points).tolist():
-        params = SystemParams(d, args.coupling_length, args.photon_number)
-        pos = peak_position(args.m, params)
-        if pos is None:
+    deltas = np.linspace(args.delta_min, args.delta_max, args.points).tolist()
+    rows = [SystemParams(d, args.coupling_length, args.photon_number) for d in deltas]
+    for d, params, pos in zip(deltas, rows, _peak_positions(args.m, rows).tolist()):
+        if math.isnan(pos):
             continue
         delta.append(d)
         position.append(pos)

@@ -17,7 +17,7 @@ import numpy as np
 from ._qagp import QagpProblem, qagp
 from .core import DomainError, SystemParams
 from .scattering import ARRAY_BLOCK
-from .ultracold import _p_em_by_owner, catalog_in_window
+from .ultracold import ResonancePeak, _catalogs_in_window, _p_em_by_owner
 
 if TYPE_CHECKING:  # pragma: no cover
     from .selection import VelocityDistribution
@@ -83,7 +83,8 @@ def mean_p_em(
     """Beam-averaged induced-emission probability for each cavity photon number in ns.
 
     Integrates P_em(n, k) P_i(k) dk over the support of the initial
-    distribution with breakpoints seeded at every catalogued resonance of n;
+    distribution with breakpoints seeded at every catalogued resonance of n
+    (the catalogs of all of ns are built in one batch);
     the transmission peaks are orders of magnitude narrower than the beam
     distribution and plain adaptive quadrature walks straight over them.
     P_em is `p_em_ultracold`, the whole lower-state flux, transmitted plus
@@ -100,16 +101,15 @@ def mean_p_em(
         )
     lo = max(float(initial.grid[0]), 1e-12)
     hi = float(initial.grid[-1])
-    # each group's breakpoints are found just before it runs, so that only
-    # one group's are held at a time
-    params = (
+    params = [
         SystemParams(params_base.detuning_ratio, params_base.coupling_length, n)
         for n in ns
-    )
+    ]
+    problems = [_problem(c, lo, hi) for c in _catalogs_in_window(params, hi, lo)]
     results = []
-    for group in _groups((p, _problem(p, lo, hi)) for p in params):
-        group_params, problems = zip(*group)
-        results += qagp(_integrand(initial, group_params), problems)
+    for group in _groups(zip(params, problems)):
+        group_params, group_problems = zip(*group)
+        results += qagp(_integrand(initial, group_params), group_problems)
     values = []
     for n, result in zip(ns, results):
         # ier = 2 (roundoff) is left alone: coarse but valid runs reach it
@@ -126,14 +126,14 @@ def mean_p_em(
     return values
 
 
-def _problem(params: SystemParams, lo: float, hi: float) -> QagpProblem:
-    """The quadrature over [lo, hi] for params' photon number n.
+def _problem(catalog: Sequence[ResonancePeak], lo: float, hi: float) -> QagpProblem:
+    """The quadrature over [lo, hi] for the photon number n whose catalog is given.
 
     Its breakpoints are n's catalogued peaks and the points 5 widths to
     either side of each.
     """
     points = []
-    for peak in catalog_in_window(params, hi, lo):
+    for peak in catalog:
         points.append(peak.position)
         for off in (-5.0, 5.0):
             q = peak.position + off * max(peak.width, 1e-12)

@@ -19,7 +19,7 @@ import numpy as np
 from .core import DomainError, SystemParams
 from .pump import PhotonDistribution
 from .scattering import transmissions
-from .ultracold import catalog_in_window
+from .ultracold import _catalogs_in_window
 
 # Populated photon states below this weight contribute nothing visible.
 POPULATION_CUTOFF = 1e-9
@@ -187,8 +187,8 @@ def refined_grid(
     """
     offsets = np.linspace(-3.0, 3.0, 6 * POINTS_PER_WIDTH)
     extra = [np.asarray(grid, dtype=float)]
-    for p in params:
-        for peak in catalog_in_window(p, hi, lo):
+    for catalog in _catalogs_in_window(list(params), hi, lo):
+        for peak in catalog:
             extra.append(peak.position + max(peak.width, 1e-14) * offsets)
     out = np.unique(np.concatenate(extra))
     return out[(out >= lo) & (out <= hi)]

@@ -15,7 +15,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ._brent import brentq, minimize_bounded
 from .core import DomainError, SystemParams, _channels, _incident, _is_open
 from .core import _ArrayOps, _Dressed, _ScalarOps
 from .scattering import DegeneracyError, _blockwise, _inverse_denominator, _tau, tau_pm
@@ -28,12 +27,18 @@ VALIDITY_MIN_KAPPA_N_L = 20.0
 
 @dataclass(frozen=True)
 class ResonancePeak:
-    """One transmission resonance in k space (all in units of kappa)."""
+    """One transmission resonance in k space (all in units of kappa).
+
+    `resolved` is false where `width` is a bound, not a measured FWHM: a
+    half-maximum crossing lies beyond the nearest neighbour (merged peaks) or
+    below k = 0.
+    """
 
     index: int
     position: float
     amplitude: float
     width: float
+    resolved: bool
     refined: bool
 
 
@@ -180,88 +185,189 @@ def resonance_amplitude(peak_position: float, params: SystemParams) -> float:
     return 4.0 * _branching(ratio, params) / (1.0 + ratio) ** 2
 
 
+def _check_indices(m) -> None:
+    if np.any(m < 1):
+        raise DomainError(f"resonance index must be >= 1, got {np.min(m)}")
+
+
+def _analytic_positions(m, params) -> np.ndarray:
+    """`analytic_position` of every index in the array m; nan where it has no peak.
+
+    params is a `SystemParams`, or a `_Dressed` record with one row per index.
+    Each square is Python's ** (C pow), not numpy's x * x: the two differ in
+    the last place on about 1 in 1,000 arguments.
+    """
+    x = m * math.pi / params.coupling_length
+    rad = np.array([v**2 for v in x.tolist()]) - params.shift_minus
+    return np.sqrt(np.where(rad > 0.0, rad, np.nan))
+
+
 def analytic_position(m: int, params: SystemParams) -> float | None:
     """Eq.-(21)-style position sqrt((m pi / kL)^2 - sqrt(n+1) cot theta), m >= 1."""
-    if m < 1:
-        raise DomainError(f"resonance index must be >= 1, got {m}")
-    rad = (m * math.pi / params.coupling_length) ** 2 - params.shift_minus
-    if rad <= 0.0:
-        return None
-    return math.sqrt(rad)
+    _check_indices(m)
+    pos = float(_analytic_positions(np.array([m]), params)[0])
+    return None if math.isnan(pos) else pos
 
 
-def _peak_spacing(m: int, params: SystemParams) -> float:
-    """Distance from peak m (which exists) to its nearest analytic neighbour."""
-    here = analytic_position(m, params)
-    lo = analytic_position(m - 1, params) if m > 1 else None
-    hi = analytic_position(m + 1, params)  # exists wherever peak m does
-    return min(abs(here - x) for x in (lo, hi) if x is not None)
+def _peak_spacing(m, params) -> np.ndarray:
+    """Distance from each peak m (where it exists) to its nearest analytic neighbour.
 
-
-def _refine_peak(seed: float, spacing: float, params: SystemParams) -> float:
-    # the minimizer stops at sqrt(eps)|x| + xatol/3: positions good to ~1.5e-8 relative
-    lo = max(seed - 0.5 * spacing, seed * 1e-6)
-    hi = seed + 0.5 * spacing
-    x = minimize_bounded(
-        lambda q: -transmission_ultracold(q, params), (lo, hi), xatol=seed * 1e-10
-    )
-    return float(x)
-
-
-def _locate_peak(m: int, params: SystemParams) -> tuple[float, bool] | None:
-    """(position, refined) of peak m, or None if its radicand is not positive.
-
-    Where channel b is closed at the analytic position (k^2 <= delta/g) the
-    peak is refined by maximizing the ultracold transmission around it.
+    m and params are as for `_analytic_positions`.
     """
-    pos = analytic_position(m, params)
-    if pos is None:
-        return None
-    if _is_open(_channels(pos, params)[0]):
-        return pos, False
-    return _refine_peak(pos, _peak_spacing(m, params), params), True
+    here = _analytic_positions(m, params)
+    below = _analytic_positions(m - 1, params)  # nan for m = 1
+    above = _analytic_positions(m + 1, params)  # exists wherever peak m does
+    return np.fmin(here - below, above - here)
+
+
+def _transmission_by_peak(record: _Dressed, owner: np.ndarray):
+    """The ultracold T as f(k, i), where point j of k takes record row owner[i[j]]."""
+    return lambda k, i: _at_points(_transmission_ultracold, k, record, owner[i])
+
+
+def _located(params: Sequence[SystemParams], owner: np.ndarray, m: np.ndarray):
+    """(record, position, refined, spacing) of each peak m[i] of params[owner[i]].
+
+    record is the params stacked; position is nan where a peak does not
+    exist.  Where channel b is closed at the analytic position (k^2 <= delta/g)
+    the peak is refined (refined[i] is true): its position is the top of the
+    ultracold transmission within half a spacing of the analytic one.
+    """
+    _check_indices(m)
+    record = _Dressed.stack(params)
+    rows = record._make(f[owner] for f in record)
+    position = _analytic_positions(m, rows)
+    spacing = _peak_spacing(m, rows)
+    k_b = _channels(position, rows, _ArrayOps)[0]
+    refined = ~np.isnan(position) & ~_is_open(k_b)
+    if refined.any():
+        seed, gap = position[refined], 0.5 * spacing[refined]
+        position[refined] = _golden_max(
+            _transmission_by_peak(record, owner[refined]),
+            np.maximum(seed - gap, seed * 1e-6),
+            seed + gap,
+            seed * 1e-10,  # within ~1e-10 of a refined top, T is flat to rounding
+        )
+    return record, position, refined, spacing
+
+
+_INV_PHI = 0.5 * (math.sqrt(5.0) - 1.0)
+
+
+def _golden_max(f, a, b, tol) -> np.ndarray:
+    """Where each f(., i) is greatest in [a[i], b[i]], by golden-section search.
+
+    f(x, i) evaluates element i[j] at x[j], for all the searches in one call
+    per round.  Search i stops once its bracket is at most tol[i] wide, with
+    the better of its two inner points, so it returns what it would alone.
+    Brent, *Algorithms for Minimization without Derivatives* (1973), ch. 5.
+    """
+    out = np.empty_like(a)
+    i = np.arange(a.size)
+    c = b - _INV_PHI * (b - a)
+    d = a + _INV_PHI * (b - a)
+    fc, fd = np.split(f(np.concatenate((c, d)), np.concatenate((i, i))), 2)
+    while i.size:
+        done = b - a <= tol
+        out[i[done]] = np.where(fc > fd, c, d)[done]
+        i, a, b, c, d, fc, fd, tol = (v[~done] for v in (i, a, b, c, d, fc, fd, tol))
+        left = fc > fd  # the top lies in [a, d]: d becomes b, and c becomes d
+        a = np.where(left, a, c)
+        b = np.where(left, d, b)
+        x = np.where(left, b - _INV_PHI * (b - a), a + _INV_PHI * (b - a))
+        fx = f(x, i)
+        c, d, fc, fd = (
+            np.where(left, x, d),
+            np.where(left, c, x),
+            np.where(left, fx, fd),
+            np.where(left, fc, fx),
+        )
+    return out
 
 
 def peak_position(m: int, params: SystemParams) -> float | None:
     """Position of peak m (analytic, or refined where channel b is closed)."""
-    located = _locate_peak(m, params)
-    return None if located is None else located[0]
+    pos = float(_peak_positions(m, [params])[0])
+    return None if math.isnan(pos) else pos
 
 
-def _fwhm(
-    position: float, amplitude: float, spacing: float, params: SystemParams
-) -> float:
-    """Full width at half the peak's own maximum, by bracketed bisection."""
-    half = 0.5 * amplitude
-
-    def g(q: float) -> float:
-        return transmission_ultracold(q, params) - half
-
-    def crossing(direction: int) -> float:
-        step = spacing * 1e-4
-        q = position
-        while True:
-            q_next = q + direction * step
-            if q_next <= 0.0:
-                return position  # no crossing inside the physical domain
-            if g(q_next) < 0.0:
-                lo, hi = (q, q_next) if direction > 0 else (q_next, q)
-                return brentq(g, lo, hi, xtol=1e-16, rtol=1e-14)
-            q = q_next
-            step *= 2.0
-            if abs(q - position) > spacing:
-                return position + direction * spacing  # merged neighbours
-
-    right = crossing(+1)
-    left = crossing(-1)
-    return right - left
+def _peak_positions(m: int, params: Sequence[SystemParams]) -> np.ndarray:
+    """`peak_position` of peak m for every params, in one batch; nan where none."""
+    return _located(params, np.arange(len(params)), np.full(len(params), m))[1]
 
 
-def _peak(m: int, pos: float, refined: bool, params: SystemParams) -> ResonancePeak:
-    """Peak m at its located position, with its amplitude and FWHM."""
-    amplitude = transmission_ultracold(pos, params)
-    width = _fwhm(pos, amplitude, _peak_spacing(m, params), params)
-    return ResonancePeak(m, pos, amplitude, width, refined)
+def _widths(t, position, half, spacing) -> tuple[np.ndarray, np.ndarray]:
+    """(FWHM, resolved) of each peak i, with T = t(k, i) and half its maximum.
+
+    From the peak, each flank steps 1e-4 of the spacing out, doubling the
+    step, until T drops below half; bisection then narrows that bracket to
+    1e-16 + 1e-14 |k|.  A flank whose next step would reach k <= 0 ends at
+    the peak, and one that walks further than the spacing ends there; the
+    width is then not resolved.  All flanks walk, then bisect, in lockstep.
+    """
+    n = position.size
+    # flank j < n is peak j's right one, flank n + j its left one
+    peak = np.tile(np.arange(n), 2)
+    direction = np.repeat([1.0, -1.0], n)
+    start, reach, level = position[peak], spacing[peak], half[peak]
+    crossing = start + direction * reach  # merged neighbours
+    found = np.zeros(2 * n, dtype=bool)
+    inner, outer = np.empty(2 * n), np.empty(2 * n)
+    j, q, step = np.arange(2 * n), start, reach * 1e-4
+    while j.size:
+        q_next = q + direction[j] * step
+        edge = q_next <= 0.0
+        crossing[j[edge]] = start[j[edge]]  # no crossing inside the physical domain
+        j, q, q_next, step = (v[~edge] for v in (j, q, q_next, step))
+        below = t(q_next, peak[j]) < level[j]
+        found[j[below]] = True
+        inner[j[below]], outer[j[below]] = q[below], q_next[below]
+        j, q, step = (v[~below] for v in (j, q_next, 2.0 * step))
+        within = abs(q - start[j]) <= reach[j]
+        j, q, step = j[within], q[within], step[within]
+    j = np.flatnonzero(found)
+    a, b = inner[j], outer[j]
+    while j.size:
+        mid = 0.5 * (a + b)
+        done = abs(b - a) < 1e-16 + 1e-14 * abs(mid)
+        crossing[j[done]] = mid[done]
+        j, a, b, mid = (v[~done] for v in (j, a, b, mid))
+        below = t(mid, peak[j]) < level[j]
+        a, b = np.where(below, a, mid), np.where(below, mid, b)
+    return crossing[:n] - crossing[n:], found[:n] & found[n:]
+
+
+def _catalogs(
+    params: Sequence[SystemParams],
+    m_ranges: Sequence[tuple[int, int]],
+    k_min: float,
+    k_max: float,
+) -> list[list[ResonancePeak]]:
+    """Each params[i]'s catalog: its peaks m_ranges[i] with k_min < position <= k_max.
+
+    Every index is located first; only the kept peaks pay for their
+    amplitude and width.  Each round of the searches is one array call over
+    all the peaks still searching, of every params.
+    """
+    owner = np.repeat(np.arange(len(params)), [hi - lo + 1 for lo, hi in m_ranges])
+    m = np.concatenate(
+        [np.empty(0, int), *(np.arange(lo, hi + 1) for lo, hi in m_ranges)]
+    )
+    record, position, refined, spacing = _located(params, owner, m)
+    kept = (k_min < position) & (position <= k_max)
+    owner, m, position, refined, spacing = (
+        v[kept] for v in (owner, m, position, refined, spacing)
+    )
+    t = _transmission_by_peak(record, owner)
+    amplitude = t(position, np.arange(position.size))
+    width, resolved = _widths(t, position, 0.5 * amplitude, spacing)
+    catalogs: list[list[ResonancePeak]] = [[] for _ in params]
+    for i, *peak in zip(
+        owner.tolist(), m.tolist(), position.tolist(), amplitude.tolist(),
+        width.tolist(), resolved.tolist(), refined.tolist(),
+    ):
+        catalogs[i].append(ResonancePeak(*peak))
+    return catalogs
 
 
 def resonance_positions(
@@ -277,28 +383,27 @@ def resonance_positions(
     m_min, m_max = m_range
     if m_min > m_max:
         raise DomainError(f"empty index range: m_min {m_min} > m_max {m_max}")
-    located = [(m, _locate_peak(m, params)) for m in range(m_min, m_max + 1)]
-    return [_peak(m, *loc, params) for m, loc in located if loc is not None]
+    return _catalogs([params], [m_range], -math.inf, math.inf)[0]
 
 
 def catalog_in_window(
     params: SystemParams, k_max: float, k_min: float = 0.0
 ) -> list[ResonancePeak]:
-    """All resonance peaks with positions in (k_min, k_max].
+    """All resonance peaks with positions in (k_min, k_max]."""
+    return _catalogs_in_window([params], k_max, k_min)[0]
 
-    Each index is located first; only the peaks inside the window pay for
-    their amplitude and width.
-    """
+
+def _catalogs_in_window(
+    params: Sequence[SystemParams], k_max: float, k_min: float = 0.0
+) -> list[list[ResonancePeak]]:
+    """`catalog_in_window` of every params, in one batch."""
     if k_min > k_max:
         raise DomainError(f"empty window: k_min {k_min} > k_max {k_max}")
-    base = params.shift_minus
-    scale = params.coupling_length / math.pi
     k_lo = max(k_min, 0.0)  # positions are > 0, so a negative k_min adds no peak
-    m_lo = max(1, math.floor(math.sqrt(base + k_lo * k_lo) * scale))
-    m_hi = math.ceil(math.sqrt(base + k_max * k_max) * scale) + 1
-    located = [(m, _locate_peak(m, params)) for m in range(m_lo, m_hi + 1)]
-    return [
-        _peak(m, *loc, params)
-        for m, loc in located
-        if loc is not None and k_min < loc[0] <= k_max
-    ]
+    m_ranges = []
+    for p in params:
+        scale = p.coupling_length / math.pi
+        m_lo = max(1, math.floor(math.sqrt(p.shift_minus + k_lo * k_lo) * scale))
+        m_hi = math.ceil(math.sqrt(p.shift_minus + k_max * k_max) * scale) + 1
+        m_ranges.append((m_lo, m_hi))
+    return _catalogs(params, m_ranges, k_min, k_max)

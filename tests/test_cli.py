@@ -140,11 +140,11 @@ class TestDeterminismAndFormats:
         ])
         assert rc == 0
         lines = read_lines(out)
-        assert lines[0] == "m,position,amplitude,width,refined,width_hz"
+        assert lines[0] == "m,position,amplitude,width,resolved,refined,width_hz"
         row = lines[1].split(",")
         # width_hz = g_hz * 2 * position * width / (2 pi)
         expected = 1e5 * 2.0 * float(row[1]) * float(row[3]) / (2 * math.pi)
-        assert float(row[5]) == pytest.approx(expected, rel=1e-12)
+        assert float(row[6]) == pytest.approx(expected, rel=1e-12)
 
         # amplitude: delta_hz = delta g / (2 pi) after delta; each row is the
         # library's peak position and amplitude at that detuning
@@ -276,7 +276,7 @@ class TestResonancesCommand:
             "resonances", "--delta", "0", "--coupling-length", str(KL),
             "--m-min", "1", "--m-max", "5", "--out", str(out),
         ]) == 0
-        assert read_lines(out) == ["m,position,amplitude,width,refined"]
+        assert read_lines(out) == ["m,position,amplitude,width,resolved,refined"]
 
 
 class TestPresetsAndConfig:

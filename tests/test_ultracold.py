@@ -1,14 +1,13 @@
 """Ultracold closed forms, resonance catalog, widths and amplitudes."""
 
 import math
-import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mazer import _brent, ultracold
+from mazer import ultracold
 from mazer.core import DomainError, SystemParams
 from mazer.scattering import DegeneracyError, scatter
 from mazer.ultracold import (
@@ -177,9 +176,9 @@ class TestResonanceCatalog:
         params = SystemParams(1e4, 100.0, 0)
         peaks = resonance_positions(params, (1, 3))
         assert [p.index for p in peaks] == [1, 2, 3]
-        assert ultracold._peak_spacing(1, params) == (
+        assert ultracold._peak_spacing(np.array([1]), params) == [
             analytic_position(2, params) - analytic_position(1, params)
-        )
+        ]
         for p in peaks:
             assert p.refined and p.position > 0.0
             assert math.isfinite(p.width) and p.width > 0.0
@@ -234,17 +233,18 @@ class TestResonanceCatalog:
         assert below == catalog_in_window(PARAMS0, 0.1, 0.0)
 
     def test_window_widths_only_for_kept_peaks(self, monkeypatch):
-        real = ultracold._fwhm
-        widths = []
+        # the width step receives one position per kept peak, in one call
+        real = ultracold._widths
+        positions = []
 
-        def counting(*args):
-            widths.append(args)
-            return real(*args)
+        def counting(t, position, half, spacing):
+            positions.append(position.copy())
+            return real(t, position, half, spacing)
 
-        monkeypatch.setattr(ultracold, "_fwhm", counting)
+        monkeypatch.setattr(ultracold, "_widths", counting)
         peaks = catalog_in_window(SystemParams(0.002, 200.0 * math.pi, 0), 0.2)
         assert peaks
-        assert len(widths) == len(peaks)
+        assert [p.tolist() for p in positions] == [[p.position for p in peaks]]
 
 
 class TestResonanceAmplitude:
@@ -292,91 +292,83 @@ class TestHotColdBoundary:
             hot_cold_boundary(0.05, -1)
 
 
-# (delta/g, kappa L, photon numbers, k window) of the fig-4 catalogs and fig1b
-PORT_CONFIGS = [
-    *((d, KL200, range(16), (0.0, 0.2)) for d in (-0.002, 0.0, 0.002, 0.005)),
-    *((d, KL, (0,), (0.002, 0.1)) for d in (-0.005, 0.005)),
-]
+def unresolved(peaks):
+    """(peaks, peaks whose width is not resolved)."""
+    return len(peaks), sum(not p.resolved for p in peaks)
 
 
-def record_port_calls(monkeypatch, name):
-    """Build every PORT_CONFIGS catalog, recording each (args, kwargs, result)
-    of `ultracold.<name>`, and return the calls and the refined peaks."""
-    real = getattr(ultracold, name)
-    calls = []
+class TestResolvedWidths:
+    @pytest.mark.parametrize(
+        "kl, count", [(KL200, 3), (KL, 15), (1e5, 498)], ids=["200pi", "1000pi", "1e5"]
+    )
+    def test_every_width_merges_at_large_negative_detuning(self, kl, count):
+        # at delta/g = -1 each peak is wider than its spacing
+        peaks = catalog_in_window(SystemParams(-1.0, kl, 0), 0.2)
+        assert unresolved(peaks) == (count, count)
+        for p in peaks:
+            assert p.width > 0.0
 
-    def spy(*args, **kwargs):
-        result = real(*args, **kwargs)
-        calls.append((args, kwargs, result))
-        return result
-
-    monkeypatch.setattr(ultracold, name, spy)
-    refined = []
-    for d, kl, photons, (k_min, k_max) in PORT_CONFIGS:
-        for n in photons:
-            peaks = catalog_in_window(SystemParams(d, kl, n), k_max, k_min)
-            refined += [p for p in peaks if p.refined]
-    return calls, refined
-
-
-class TestBrentPorts:
-    """The `_brent` ports take scipy's decisions, so they return its bits."""
-
-    def test_refine_peak_matches_scipy_bounded_minimizer(self, monkeypatch):
-        from scipy.optimize import minimize_scalar
-
-        calls, refined = record_port_calls(monkeypatch, "minimize_bounded")
-        assert len(calls) == len(refined) > 0
-        for ((func, bounds), kwargs, x), peak in zip(calls, refined):
-            res = minimize_scalar(func, bounds=bounds, method="bounded", options=kwargs)
-            assert float(x) == float(res.x) == peak.position
-
-    def test_brentq_matches_scipy_on_fwhm_brackets(self, monkeypatch):
-        from scipy.optimize import brentq
-
-        calls, _ = record_port_calls(monkeypatch, "brentq")
-        assert len(calls) > 100
-        for (g, lo, hi), kwargs, root in calls:
-            assert root == brentq(g, lo, hi, **kwargs)
+    def test_first_indices_at_large_detuning_are_unresolved(self):
+        peaks = resonance_positions(SystemParams(1e4, 100.0, 0), (1, 3))
+        assert unresolved(peaks) == (3, 3)
 
     @pytest.mark.parametrize(
-        "f, a, b, kwargs",
-        [
-            (lambda x: x * x + 1.0, -1.0, 2.0, {}),  # same-sign bracket
-            (lambda x: math.nan if x > 0.3 else x - 0.5, 0.0, 1.0, {}),  # nan value
-            (lambda x: math.cos(x) - x, 0.0, 1.0, {"maxiter": 2}),  # maxiter
-            (lambda x: x, -1.0, 1.0, {"xtol": 0.0}),
-            (lambda x: x, -1.0, 1.0, {"rtol": 1e-17}),
-        ],
+        "params, k_max",
+        [(SystemParams(0.002, KL200, 0), 0.2), (SystemParams(0.005, KL, 0), 0.1)],
+        ids=["fig4", "refined"],
     )
-    def test_brentq_raises_as_scipy(self, f, a, b, kwargs):
-        from scipy.optimize import brentq as scipy_brentq
+    def test_sharp_peaks_are_resolved(self, params, k_max):
+        peaks = catalog_in_window(params, k_max)
+        assert peaks and unresolved(peaks)[1] == 0
 
-        with pytest.raises((ValueError, RuntimeError)) as expected:
-            scipy_brentq(f, a, b, **kwargs)
-        with pytest.raises(expected.type, match=f"^{re.escape(str(expected.value))}$"):
-            _brent.brentq(f, a, b, **kwargs)
 
-    @pytest.mark.parametrize(
-        "f, bounds, kwargs",
-        [
-            (lambda x: (x - 2.0) * x * (x + 2.0) ** 2, (-3.0, -1.0), {}),
-            (lambda x: math.cos(3.0 * x) + 0.1 * x, (0.0, 10.0), {"xatol": 1e-12}),
-            (lambda x: abs(x - 0.25), (0.0, 1.0), {"maxiter": 7}),  # stops at maxiter
-            (lambda x: 1.0, (2.0, 2.0), {}),
-        ],
-    )
-    def test_minimize_bounded_matches_scipy(self, f, bounds, kwargs):
-        from scipy.optimize import minimize_scalar
+class TestCatalogAnchors:
+    """Peaks as the earlier scalar Brent chain printed them, to its tolerances."""
 
-        res = minimize_scalar(f, bounds=bounds, method="bounded", options=kwargs)
-        assert _brent.minimize_bounded(f, bounds, **kwargs) == res.x
+    def test_open_channel_peak(self):
+        (peak,) = [
+            p for p in catalog_in_window(SystemParams(0.002, KL200, 3), 0.2)
+            if p.index == 283
+        ]
+        assert not peak.refined and peak.resolved
+        # the analytic position keeps its bits; the width is within both
+        # root finders' tolerances together
+        assert peak.position == 0.056786882288218515
+        width = 0.0051507368046607022
+        assert abs(peak.width - width) <= 4.0 * (1e-16 + 1e-14 * peak.position)
 
-    def test_minimize_bounded_rejects_bad_bounds_as_scipy(self):
-        from scipy.optimize import minimize_scalar
+    def test_refined_peak(self):
+        (peak,) = resonance_positions(SystemParams(0.005, KL, 0), (999, 999))
+        assert peak.refined and peak.resolved
+        assert peak.position == pytest.approx(0.023218185909824513, rel=3e-8, abs=0.0)
+        assert peak.width == pytest.approx(0.00067655566587235955, rel=1e-5, abs=0.0)
 
-        for bounds in ((1.0, 0.0), (0.0, math.inf), (0.0, 1.0, 2.0)):
-            with pytest.raises(ValueError) as expected:
-                minimize_scalar(abs, bounds=bounds, method="bounded")
-            with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
-                _brent.minimize_bounded(abs, bounds)
+
+class TestBatchIndependence:
+    """A catalog built in a batch is, bit for bit, the catalog built alone."""
+
+    @pytest.mark.parametrize("delta", [-0.002, 0.0, 0.002, 0.005])
+    def test_fig4_photon_numbers(self, delta):
+        params = [SystemParams(delta, KL200, n) for n in range(65)]
+        batch = ultracold._catalogs_in_window(params, 0.2, 1e-12)
+        assert repr(batch) == repr([catalog_in_window(p, 0.2, 1e-12) for p in params])
+
+    def test_long_cavity_mixed_with_short(self):
+        # params with over 100 peaks in a batch with ones of a few peaks
+        params = [
+            SystemParams(0.002, 25000.0, 0),
+            *(SystemParams(0.005, KL200, n) for n in (0, 7)),
+            SystemParams(0.005, 25000.0, 2),
+        ]
+        batch = ultracold._catalogs_in_window(params, 0.2, 1e-12)
+        assert len(batch[0]) > 100 and len(batch[1]) < 10
+        assert repr(batch) == repr([catalog_in_window(p, 0.2, 1e-12) for p in params])
+
+    def test_peak_positions_over_a_detuning_sweep(self):
+        params = [
+            SystemParams(d, KL, 0) for d in np.linspace(-0.01, 0.01, 2001).tolist()
+        ]
+        batch = ultracold._peak_positions(1001, params)
+        for i in range(0, 2001, 40):
+            alone = ultracold.peak_position(1001, params[i])
+            assert (math.isnan(batch[i]) and alone is None) or batch[i] == alone
