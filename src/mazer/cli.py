@@ -20,15 +20,16 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import DomainError, SystemParams
+from .core import DomainError, SystemParams, _Dressed
 from .oracle import solve_mesa
 from .pump import PumpParams, mean_p_em, stationary_distribution
 from .scattering import ARRAY_BLOCK, transmissions
 from .selection import final_distribution, maxwell_boltzmann_initial, refined_grid
 from .ultracold import (
+    _catalogs_in_window,
     _peak_positions,
+    _resonance_amplitudes,
     catalog_in_window,
-    resonance_amplitude,
     resonance_positions,
     transmissions_ultracold,
     ultracold_valid,
@@ -259,11 +260,16 @@ def _sweep_points(args):
         for d in np.linspace(args.delta_min, args.delta_max, args.points).tolist():
             yield args.k, SystemParams(d, args.coupling_length, args.photon_number)
         return
-    for d in args.delta:
-        params = SystemParams(d, args.coupling_length, args.photon_number)
-        grid = np.linspace(args.k_min, args.k_max, args.points)
-        if args.refine and grid.size:
-            grid = refined_grid(grid, args.k_min, args.k_max, [params])
+    rows = [
+        SystemParams(d, args.coupling_length, args.photon_number) for d in args.delta
+    ]
+    grid = np.linspace(args.k_min, args.k_max, args.points)
+    grids = [grid] * len(rows)
+    if args.refine and grid.size:
+        # every detuning's catalog in one batch; each grid takes its own peaks
+        catalogs = _catalogs_in_window(rows, args.k_max, args.k_min)
+        grids = [refined_grid(grid, args.k_min, args.k_max, [c]) for c in catalogs]
+    for params, grid in zip(rows, grids):
         for k in grid.tolist():
             yield k, params
 
@@ -318,21 +324,22 @@ def cmd_resonances(args) -> int:
 
 
 def cmd_amplitude(args) -> int:
-    delta, position, amplitude = [], [], []
-    deltas = np.linspace(args.delta_min, args.delta_max, args.points).tolist()
-    rows = [SystemParams(d, args.coupling_length, args.photon_number) for d in deltas]
-    for d, params, pos in zip(deltas, rows, _peak_positions(args.m, rows).tolist()):
-        if math.isnan(pos):
-            continue
-        delta.append(d)
-        position.append(pos)
-        amplitude.append(resonance_amplitude(pos, params))
+    deltas = np.linspace(args.delta_min, args.delta_max, args.points)
+    rows = [
+        SystemParams(d, args.coupling_length, args.photon_number)
+        for d in deltas.tolist()
+    ]
+    position = _peak_positions(args.m, rows)
+    found = ~np.isnan(position)
+    delta, position = deltas[found], position[found]
+    # one array call over the rows that have the peak
+    kept = _Dressed.stack([p for p, f in zip(rows, found.tolist()) if f])
     values = {
-        "delta": delta, "m": [args.m] * len(delta), "position": position,
-        "amplitude": amplitude,
+        "delta": delta, "m": [args.m] * delta.size, "position": position,
+        "amplitude": _resonance_amplitudes(position, kept),
     }
     if args.g_hz is not None:
-        values["delta_hz"] = np.array(delta) * args.g_hz / TWO_PI
+        values["delta_hz"] = delta * args.g_hz / TWO_PI
     _emit(args, values)
     return 0
 

@@ -14,7 +14,6 @@ k_b = sqrt(k^2 - delta/g); the channel is open only for k^2 > delta/g.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -41,50 +40,17 @@ def _incident(k) -> float:
     return float(k)
 
 
-def _if_else(cond, a, b):
-    return a if cond else b
-
-
-class _ScalarOps:
-    """The operations in which the closed forms' scalar and array evaluations differ.
-
-    Every closed-form function takes `_ScalarOps` or `_ArrayOps` as `ops`;
-    the rest of its arithmetic (+ - * /, abs, .real, .imag, comparisons, &)
-    is written once and works on Python numbers and numpy arrays alike.
-    Class attributes, because they are the cheapest to look up on the
-    scalar path.
-    """
-
-    exp = cmath.exp
-    sin = math.sin
-    complex = complex
-    sqrt = cmath.sqrt
-    where = staticmethod(_if_else)
-    isfinite = math.isfinite
-
-
-class _ArrayOps:
-    """`_ScalarOps` elementwise over numpy arrays."""
-
-    exp = np.exp
-    sin = np.sin
-    complex = staticmethod(_complex_array)
-    sqrt = np.sqrt
-    where = np.where
-    isfinite = np.isfinite
-
-
-def _channels(k, params: SystemParams, ops=_ScalarOps):
-    """(k_b, k_minus, k_plus) at incident k, each on the Im >= 0 branch.
+def _channels(k: np.ndarray, params: SystemParams):
+    """(k_b, k_minus, k_plus) at every incident k of the array, on the Im >= 0 branch.
 
     The one place the channel wavenumbers of `ChannelWavenumbers` are computed.
     The principal root of x + 0j has Im >= 0 (C99 csqrt gives the result's
     imaginary part the sign of the argument's), so no flip is needed.
     """
     return (
-        ops.sqrt(ops.complex(k * k - params.detuning_ratio, 0.0)),
-        ops.sqrt(ops.complex(k * k + params.shift_minus, 0.0)),
-        ops.sqrt(ops.complex(k * k - params.shift_plus, 0.0)),
+        np.sqrt(_complex_array(k * k - params.detuning_ratio, 0.0)),
+        np.sqrt(_complex_array(k * k + params.shift_minus, 0.0)),
+        np.sqrt(_complex_array(k * k - params.shift_plus, 0.0)),
     )
 
 
@@ -93,9 +59,9 @@ def _is_open(k_b):
     return k_b.real > 0.0
 
 
-def _flux_b(k, k_b, t_b, ops=_ScalarOps):
+def _flux_b(k, k_b, t_b):
     """Transmitted flux k_b/k |t_b|^2 into |b,n+1>; 0 unless channel b is open."""
-    return ops.where(_is_open(k_b), (k_b.real / k) * abs(t_b) ** 2, 0.0)
+    return np.where(_is_open(k_b), (k_b.real / k) * abs(t_b) ** 2, 0.0)
 
 
 def dressed_angle(detuning_ratio: float, photon_number: int) -> float:
@@ -217,7 +183,7 @@ class ChannelWavenumbers:
 def channel_wavenumbers(k: float, params: SystemParams) -> ChannelWavenumbers:
     """All channel wavenumbers for incident wavenumber k (units of kappa)."""
     k = _incident(k)
-    k_b, k_minus, k_plus = _channels(k, params)
+    k_b, k_minus, k_plus = (v.item() for v in _channels(np.array([k]), params))
     return ChannelWavenumbers(
         k=k,
         k_b=k_b,

@@ -19,7 +19,7 @@ import numpy as np
 from .core import DomainError, SystemParams
 from .pump import PhotonDistribution
 from .scattering import transmissions
-from .ultracold import _catalogs_in_window
+from .ultracold import ResonancePeak, _catalogs_in_window
 
 # Populated photon states below this weight contribute nothing visible.
 POPULATION_CUTOFF = 1e-9
@@ -179,15 +179,16 @@ def beam_transmissions(
 
 
 def refined_grid(
-    grid: np.ndarray, lo: float, hi: float, params: Iterable[SystemParams]
+    grid: np.ndarray, lo: float, hi: float, catalogs: Iterable[list[ResonancePeak]]
 ) -> np.ndarray:
-    """Sorted `grid` plus points across +-3 FWHM of each catalogued peak.
+    """Sorted `grid` plus points across +-3 FWHM of each peak of every catalog.
 
-    Peaks of every `params` in (lo, hi] count; the result is clipped to [lo, hi].
+    The catalogs are those of the window (lo, hi], as `_catalogs_in_window`
+    builds them; the result is clipped to [lo, hi].
     """
     offsets = np.linspace(-3.0, 3.0, 6 * POINTS_PER_WIDTH)
     extra = [np.asarray(grid, dtype=float)]
-    for catalog in _catalogs_in_window(list(params), hi, lo):
+    for catalog in catalogs:
         for peak in catalog:
             extra.append(peak.position + max(peak.width, 1e-14) * offsets)
     out = np.unique(np.concatenate(extra))
@@ -209,7 +210,9 @@ def final_distribution(
     """
     d = params_base.detuning_ratio
     params = [p for _, p in _populated_states(dist, params_base)]
-    grid = refined_grid(initial.grid, initial.grid[0], initial.grid[-1], params)
+    lo, hi = initial.grid[0], initial.grid[-1]
+    # one grid for every photon state: the union of their peaks
+    grid = refined_grid(initial.grid, lo, hi, _catalogs_in_window(params, hi, lo))
     incident = grid > 0.0
     k = grid[incident]
     t_a, _ = beam_transmissions(dist, k, params_base)

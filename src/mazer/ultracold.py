@@ -15,9 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DomainError, SystemParams, _channels, _incident, _is_open
-from .core import _ArrayOps, _Dressed, _ScalarOps
-from .scattering import DegeneracyError, _blockwise, _inverse_denominator, _tau, tau_pm
+from .core import DomainError, SystemParams, _channels, _Dressed, _incident, _is_open
+from .scattering import DegeneracyError, _blockwise, _inverse_denominator, _tau
 
 # Operationalization of the paper-regime conditions "k << kappa_n sqrt(tan)"
 # and "exp(kappa_n L) >> 1"; reported as flags, never enforced.
@@ -50,28 +49,28 @@ def ultracold_valid(k: float, params: SystemParams) -> bool:
     )
 
 
-def _branching(kb_ratio: float, params: SystemParams) -> float:
+def _branching(kb_ratio: np.ndarray, params: SystemParams) -> np.ndarray:
     """f(theta_n) = sin^2 (sin^2 + (k_b/k) cos^2), given k_b/k (0 when b is closed)."""
     sin2 = params.sin2_theta
     return sin2 * (sin2 + kb_ratio * params.cos2_theta)
 
 
-def _transmission_ultracold(k, params: SystemParams, ops=_ScalarOps):
-    """(T, nondegenerate) at k, with T nan where degenerate.
+def _transmission_ultracold(k: np.ndarray, params: SystemParams):
+    """(T, nondegenerate) at every point of k, with T nan where degenerate.
 
-    `params` is a `SystemParams`, or with `_ArrayOps` a `_Dressed` record.
+    `params` is a `SystemParams`, or a `_Dressed` record with one row per point.
     """
-    channels = _channels(k, params, ops)
+    channels = _channels(k, params)
     k_b, k_minus, _ = channels
     # k_b.real is exactly 0 for a closed channel
     f = _branching(k_b.real / k, params)
-    inv_d, nondegenerate = _inverse_denominator(k, params, channels, ops)
-    tau2 = abs(_tau(k_minus, k, params.coupling_length, ops)) ** 2
+    inv_d, nondegenerate = _inverse_denominator(k, params, channels)
+    tau2 = abs(_tau(k_minus, k, params.coupling_length)) ** 2
     return f * abs(inv_d) ** 2 * tau2, nondegenerate
 
 
-def _p_em_closed_form(k, params: SystemParams, ops=_ScalarOps):
-    """(P_em, ok) at k; P_em is 0 where channel b is closed.
+def _p_em_closed_form(k: np.ndarray, params: SystemParams):
+    """(P_em, ok) at every point of k; P_em is 0 where channel b is closed.
 
     The fast-varying phase is evaluated with the full lower-dressed
     wavenumber k_minus (= kappa_n sqrt(cot theta) at leading ultracold
@@ -79,54 +78,52 @@ def _p_em_closed_form(k, params: SystemParams, ops=_ScalarOps):
     A degenerate denominator matters only where b is open: there `ok` is
     false and P_em is nan.
     """
-    channels = _channels(k, params, ops)
+    channels = _channels(k, params)
     k_b, k_minus, _ = channels
     is_open = _is_open(k_b)
-    inv_d, nondegenerate = _inverse_denominator(k, params, channels, ops)
+    inv_d, nondegenerate = _inverse_denominator(k, params, channels)
     cot = params.cot_theta
     phase = k_minus.real * params.coupling_length
     kn = params.kappa_n
     i_of_l = abs(inv_d) ** 2
-    num = 1.0 + 0.5 * cot * ops.sin(2.0 * phase)
-    den = 1.0 + (kn / (2.0 * k)) ** 2 * cot * ops.sin(phase) ** 2
+    num = 1.0 + 0.5 * cot * np.sin(2.0 * phase)
+    den = 1.0 + (kn / (2.0 * k)) ** 2 * cot * np.sin(phase) ** 2
     value = (k_b.real / k) * 0.5 * i_of_l * num / den
     # value < 0 is a floating-point undershoot of the interference numerator
-    value = ops.where(value < 0.0, 0.0, value)
-    return ops.where(is_open, value, 0.0), ops.where(is_open, nondegenerate, True)
+    value = np.where(value < 0.0, 0.0, value)
+    return np.where(is_open, value, 0.0), np.where(is_open, nondegenerate, True)
 
 
-def _at_point(closed_form, k, params: SystemParams) -> float:
-    """The scalar entry contract: closed_form at one k > 0, raising where not ok."""
-    k = _incident(k)
-    value, ok = closed_form(k, params)
-    if not ok:
-        raise DegeneracyError(f"degenerate resonance denominator at k={k}")
+def _checked(closed_form, k: np.ndarray, dressed) -> np.ndarray:
+    """closed_form over the 1-d block k, raising at the first point not ok."""
+    with np.errstate(all="ignore"):
+        value, ok = closed_form(k, dressed)
+    if not ok.all():
+        raise DegeneracyError(f"degenerate resonance denominator at k={k[~ok][0]}")
     return value
 
 
 def _at_points(closed_form, k, params, owner=None) -> np.ndarray:
     """The array entry contract: closed_form over the array k, raising where not ok.
 
-    k, params and owner are as for `scattering._blockwise`.
+    k, params and owner are as for `scattering._blockwise`.  Each scalar
+    entry is `_checked` on one element, so it returns that element's bits.
     """
-
-    def evaluate(k, dressed, each):
-        with np.errstate(all="ignore"):
-            value, ok = closed_form(k, dressed, _ArrayOps)
-        if not ok.all():
-            raise DegeneracyError(f"degenerate resonance denominator at k={k[~ok][0]}")
-        return (value,)
-
-    return _blockwise(k, params, evaluate, owner)[0]
+    return _blockwise(
+        k, params, lambda k, dressed, _: (_checked(closed_form, k, dressed),), owner
+    )[0]
 
 
 def transmission_ultracold(k: float, params: SystemParams) -> float:
     """T = f(theta_n) I(L) |tau_minus(k)|^2; `ultracold_valid` says where it holds."""
-    return _at_point(_transmission_ultracold, k, params)
+    return _checked(_transmission_ultracold, np.array([_incident(k)]), params).item()
 
 
 def transmissions_ultracold(k, params) -> np.ndarray:
-    """Array `transmission_ultracold`, to ~1e-14 relative; k, params as for `transmissions`."""
+    """`transmission_ultracold` at every point of the array k, bit for bit.
+
+    k and params are as for `scattering.transmissions`.
+    """
     return _at_points(_transmission_ultracold, k, params)
 
 
@@ -136,11 +133,11 @@ def p_em_ultracold(k: float, params: SystemParams) -> float:
     Vanishes identically when the emission channel is closed
     ((k/kappa)^2 <= delta/g).
     """
-    return _at_point(_p_em_closed_form, k, params)
+    return _checked(_p_em_closed_form, np.array([_incident(k)]), params).item()
 
 
 def _p_em_array(k, params: SystemParams) -> np.ndarray:
-    """`p_em_ultracold` over the array k, to a few ulp, for one `SystemParams`."""
+    """`p_em_ultracold` at every point of the array k, bit for bit, for one params."""
     return _at_points(_p_em_closed_form, k, params)
 
 
@@ -158,9 +155,11 @@ def loeffler_resonant(
     k: float, coupling_length: float, photon_number: int
 ) -> float:
     """Resonant (delta = 0) transmission T = |tau_minus(k)|^2 / 2."""
-    k = _incident(k)
+    k = np.array([_incident(k)])
     params = SystemParams(0.0, coupling_length, photon_number)
-    return 0.5 * abs(tau_pm("-", k, params)) ** 2
+    k_minus = _channels(k, params)[1]  # > 0 at delta = 0, so tau_minus is regular
+    with np.errstate(all="ignore"):
+        return (0.5 * abs(_tau(k_minus, k, coupling_length)) ** 2).item()
 
 
 def hot_cold_boundary(k: float, photon_number: int) -> float:
@@ -174,15 +173,22 @@ def hot_cold_boundary(k: float, photon_number: int) -> float:
     return -(photon_number + 1.0) / (k * k)
 
 
+def _resonance_amplitudes(position: np.ndarray, params) -> np.ndarray:
+    """`resonance_amplitude` at every (positive) peak position of the array.
+
+    params is a `SystemParams`, or a `_Dressed` record with one row per peak.
+    """
+    k_b = _channels(position, params)[0]
+    ratio = k_b.real / position
+    amplitude = 4.0 * _branching(ratio, params) / (1.0 + ratio) ** 2
+    return np.where(_is_open(k_b), amplitude, 1.0)
+
+
 def resonance_amplitude(peak_position: float, params: SystemParams) -> float:
     """Peak amplitude A_m ~ 4 f(theta) / (1 + k_b/k)^2, or 1 when b is closed."""
     if not peak_position > 0.0:
         raise DomainError(f"peak position must be > 0, got {peak_position}")
-    k_b = _channels(peak_position, params)[0]
-    if not _is_open(k_b):
-        return 1.0
-    ratio = k_b.real / peak_position
-    return 4.0 * _branching(ratio, params) / (1.0 + ratio) ** 2
+    return _resonance_amplitudes(np.array([float(peak_position)]), params).item()
 
 
 def _check_indices(m) -> None:
@@ -238,7 +244,7 @@ def _located(params: Sequence[SystemParams], owner: np.ndarray, m: np.ndarray):
     rows = record._make(f[owner] for f in record)
     position = _analytic_positions(m, rows)
     spacing = _peak_spacing(m, rows)
-    k_b = _channels(position, rows, _ArrayOps)[0]
+    k_b = _channels(position, rows)[0]
     refined = ~np.isnan(position) & ~_is_open(k_b)
     if refined.any():
         seed, gap = position[refined], 0.5 * spacing[refined]

@@ -83,7 +83,8 @@ def check_against_quad(mean, problem, ours, delta, n, kl):
     """The port's result on `problem` takes quad's steps, and is `mean_p_em`'s value."""
     value, _, info = quad_of_problem(problem, delta, n, kl)
     assert (ours.neval, ours.last) == (info["neval"], info["last"])
-    # the array P_em rounds a few ulp away from the scalar one
+    # both integrate P_em's same bits; QUADPACK's compiled sums may still round
+    # differently from the port's
     assert ours.value == mean == pytest.approx(value, rel=1e-14)
     return value, info
 

@@ -75,10 +75,8 @@ class TestTransmissionUltracold:
 
 def assert_matches_scalar(ks, params):
     values = transmissions_ultracold(np.array(ks), params)
-    for k, p, value in zip(ks, params, values):
-        assert value == pytest.approx(
-            transmission_ultracold(k, p), rel=1e-14, abs=0.0
-        )
+    for k, p, value in zip(ks, params, values.tolist()):
+        assert repr(value) == repr(transmission_ultracold(k, p))
 
 
 class TestStackedTransmissionUltracold:
@@ -122,8 +120,8 @@ class TestStackedTransmissionUltracold:
     def test_first_degenerate_point_raises(self, monkeypatch):
         real = ultracold._inverse_denominator
 
-        def degenerate_at_2_and_4(k, p, channels, ops):
-            inv_d, nondegenerate = real(k, p, channels, ops)
+        def degenerate_at_2_and_4(k, p, channels):
+            inv_d, nondegenerate = real(k, p, channels)
             nondegenerate = nondegenerate.copy()
             nondegenerate[[2, 4]] = False
             return inv_d, nondegenerate
