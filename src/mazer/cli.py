@@ -145,9 +145,12 @@ COLUMNS: dict[str, tuple[tuple[str, str], ...]] = {
     ),
 }
 
-# per column kind: its CSV field, and the Python type that JSON prints
+# per column kind: its CSV field, and the Python type its values take
 _CSV_FIELD = {"int": "%d", "flag": "%d", "float": "%.17g"}
 _PYTHON_TYPE = {"int": int, "flag": bool, "float": float}
+# how `json.dumps` spells a flag, and a float that is not finite
+_JSON_FLAG = {True: "true", False: "false"}
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _columns_help(command: str) -> str:
@@ -168,18 +171,35 @@ def _as_list(kind: str, values) -> list:
     return list(map(_PYTHON_TYPE[kind], values))
 
 
+def _json_text(kind: str, values: list) -> list[str]:
+    """The column's values as `json.dumps` spells them."""
+    if kind == "flag":
+        return [_JSON_FLAG[v] for v in values]
+    text = list(map(repr, values))
+    if kind == "float" and not all(map(math.isfinite, values)):
+        text = [_JSON_NONFINITE.get(t, t) for t in text]
+    return text
+
+
 def _write(table: Sequence[tuple[str, str, Iterable]], fmt: str, out) -> None:
-    """Write (name, kind, values) columns as CSV or JSON, one format per column."""
+    """Write (name, kind, values) columns as CSV or JSON, one format per column.
+
+    The JSON is the bytes of `json.dumps({"columns": names, "rows": [one
+    dict per row]}, indent=2)` and a newline, written through a row template.
+    """
     names = [name for name, _, _ in table]
     cols = [_as_list(kind, values) for _, kind, values in table]
     if fmt == "csv":
         out.write(",".join(names) + "\n")
         template = ",".join(_CSV_FIELD[kind] for _, kind, _ in table) + "\n"
         out.writelines(template % row for row in zip(*cols))
-    else:
-        rows = [dict(zip(names, row)) for row in zip(*cols)]
-        json.dump({"columns": names, "rows": rows}, out, indent=2)
-        out.write("\n")
+        return
+    head = json.dumps({"columns": names}, indent=2)[:-2]  # without "\n}"
+    fields = ",\n".join(f"      {json.dumps(name)}: %s" for name in names)
+    template = "    {\n" + fields + "\n    }"
+    text = [_json_text(kind, col) for (_, kind, _), col in zip(table, cols)]
+    rows = ",\n".join(template % row for row in zip(*text))
+    out.write(f'{head},\n  "rows": ' + (f"[\n{rows}\n  ]" if rows else "[]") + "\n}\n")
 
 
 def _emit(args, values: dict) -> None:

@@ -223,6 +223,25 @@ class TestTableWriter:
         assert json.loads(text) == {"columns": ["k", "m", "ok"], "rows": []}
         assert '"rows": []' in text
 
+    @pytest.mark.parametrize("size", [0, 1, 5])
+    def test_json_is_the_bytes_of_json_dumps(self, size):
+        rng = np.random.default_rng(size)
+        floats = rng.normal(size=size) * 10.0 ** rng.integers(-300, 300, size)
+        floats[: min(size, 4)] = [math.nan, math.inf, -math.inf, -0.0][: min(size, 4)]
+        table = [
+            ("k", "float", floats),
+            ("n", "int", rng.integers(-(10**18), 10**18, size)),
+            ("ok", "flag", rng.integers(0, 2, size).astype(bool)),
+            ("width_hz", "float", [0.1] * size),
+        ]
+        names = [name for name, _, _ in table]
+        rows = [
+            {"k": float(k), "n": int(n), "ok": bool(ok), "width_hz": w}
+            for k, n, ok, w in zip(*(values for _, _, values in table))
+        ]
+        expected = json.dumps({"columns": names, "rows": rows}, indent=2) + "\n"
+        assert write(table, "json") == expected
+
 
 class TestTransmissionSweeps:
     def test_delta_sweep_rows_match_scalar_forms(self, tmp_path):
@@ -581,6 +600,9 @@ class TestOracleCheckAndErrors:
             ["transmission", "--sweep", "delta", "--refine", "--points", "3"],
             # a thermal floor that cannot converge fails before any quadrature
             ["pump", "--n-b", "1e6"],
+            # k^2 overflows, in the oracle and in the closed form's fallback to it
+            ["oracle-check", "--samples", "5", "--k-max", "1e300"],
+            ["transmission", "--k-min", "1e299", "--k-max", "1e300", "--points", "3"],
         ):
             assert main(argv) == 1, argv
             err = capsys.readouterr().err.splitlines()

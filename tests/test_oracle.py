@@ -148,7 +148,7 @@ class TestStackedSolve:
             assert res.flux_sum[i] == pytest.approx(one.flux_sum, rel=1e-14)
 
     def test_first_ill_conditioned_point_is_reported(self, monkeypatch):
-        # boundary-system condition numbers about 7, 850, 7 and 870
+        # cond_2 about 7, 850, 7 and 870; kappa_F about 16, 1480, 16 and 1480
         points = [(0.05, -1.0, 0, 100.0), (0.01, -300.0, 0, 100.0),
                   (0.05, -1.0, 2, 100.0), (0.05, -300.0, 0, 5000.0)]
         k = np.array([p[0] for p in points])
@@ -168,6 +168,128 @@ class TestStackedSolve:
             solve_mesa(np.array([0.1, 0.2]), [params])
         with pytest.raises(DomainError):
             solve_mesa(np.array([0.1, 0.0]), [params] * 2)
+
+
+def boundary_systems(monkeypatch, segments, k, params):
+    """The stack of boundary systems that `_solve_stack` bounds, and its bound."""
+    seen = []
+
+    def spy(A):
+        seen.append((A, bound(A)))  # after any per-system calls it makes
+        return seen[-1][1]
+
+    bound = oracle._condition_bound
+    monkeypatch.setattr(oracle, "_condition_bound", spy)
+    try:
+        oracle._solve_stack(segments, k, params)
+    except oracle.OracleSolveError:
+        pass  # the systems were bounded before the rejection
+    return seen[-1]
+
+
+def oracle_check_draws(seed, size):
+    """(k, params) of `size` points drawn from the `oracle-check` default domain."""
+    rng = np.random.default_rng(seed)
+    k = 10.0 ** rng.uniform(-3.0, 0.0, size)
+    params = [
+        SystemParams(d, kl, int(n))
+        for d, kl, n in zip(
+            rng.uniform(-500.0, 10.0, size),
+            10.0 ** rng.uniform(2.0, 4.0, size),
+            rng.integers(0, 4, size),
+        )
+    ]
+    return k, params
+
+
+def from_hex(re: str, im: str) -> complex:
+    return complex(float.fromhex(re), float.fromhex(im))
+
+
+# (t_a, t_b, k, delta/g, n, kappa L) of mesa points, each amplitude as the
+# float.hex of its parts, as the dense solve gave them with numpy 2.4's LAPACK
+RECORDED_AMPLITUDES = [
+    (("0x1.9b3dd2323ce7ep-2", "-0x1.9eddbe042a5adp-6"),
+     ("-0x1.9bbf458d5dc11p-2", "0x1.0014c7ac40d24p-6"), 0.05, -0.003, 0, KL),
+    (("0x1.3342069e21b37p-1", "-0x1.dc8b4ecac5fc1p-2"),
+     ("-0x1.1893f88c78e9bp-1", "0x1.e1e87057fa9f9p-2"), 0.05, 0.005, 0, KL),
+    (("0x1.34e4bca8ca754p-1", "0x1.91e44aacfd96fp-1"),
+     ("-0x1.8fc020b3e1e35p-9", "0x1.647f5e75286bdp-9"), 0.3, -120.0, 2, 250.0),
+    (("-0x1.45f9d4ac67f81p-17", "0x1.53a87b0d66191p-8"),
+     ("0x1.d55931d1fb77bp-21", "-0x1.194e44c99fd65p-10"), 0.002, 3.0, 1, 5000.0),
+]
+
+
+class TestConditionBound:
+    @pytest.mark.parametrize("mode", BATCHES)
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_bound_lies_between_cond_and_n_cond(self, monkeypatch, mode, seed):
+        k, params = oracle_check_draws(seed, 200)
+        segments = STEP.segments
+        if mode == "mesa":
+            segments = ((np.array([p.coupling_length for p in params]), 1.0),)
+        A, bound = boundary_systems(monkeypatch, segments, k, params)
+        cond = np.linalg.cond(A)
+        nunk = A.shape[-1]
+        assert np.all(bound >= cond * (1.0 - 1e-12))
+        assert np.all(bound <= nunk * cond * (1.0 + 1e-12))
+        assert np.max(bound) < oracle.CONDITION_LIMIT
+
+    @pytest.mark.parametrize("kl", [100.0, 1000.0])
+    def test_threshold_points_still_raise(self, kl):
+        # k = 1 lies on the dressed threshold k^2 = mu_+ at delta/g = 0, n = 0
+        params = SystemParams(0.0, kl, 0)
+        with pytest.raises(oracle.OracleSolveError) as exc:
+            solve(ModeFunction.mesa(kl), 1.0, params)
+        with pytest.raises(oracle.OracleSolveError) as batch_exc:
+            solve_mesa(np.array([0.5, 1.0, 1.0]), [SystemParams(0.0, 50.0, 0), params, params])
+        assert str(batch_exc.value) == str(exc.value)
+        assert f"at k=1.0, params={params}" in str(exc.value)
+
+    def test_singular_and_nan_systems_raise_oracle_solve_error(self, monkeypatch):
+        # a free segment (u = 0) at k^2 = delta/g has q_b = 0 exactly: two equal
+        # columns, so the batched inverse itself fails
+        free = ModeFunction(((10.0, 0.0),))
+        k = np.array([0.3, 0.5, 0.5])
+        params = [SystemParams(0.25, 10.0, 0), SystemParams(0.25, 10.0, 0),
+                  SystemParams(0.25, 10.0, 1)]
+        A, bound = boundary_systems(monkeypatch, free.segments, k, params)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(A)
+        assert np.isfinite(bound[0]) and np.all(bound[1:] == np.inf)
+        monkeypatch.undo()
+        with pytest.raises(oracle.OracleSolveError) as exc:
+            solve(free, 0.5, params[1])
+        with pytest.raises(oracle.OracleSolveError) as batch_exc:
+            oracle._solve_stack(free.segments, k, params)
+        assert str(batch_exc.value) == str(exc.value)
+        assert "(cond=inf) at k=0.5, params=SystemParams(detuning_ratio=0.25" in str(exc.value)
+        # a nan length fills its system with nan; the singular point comes after it
+        lengths = np.array([10.0, math.nan, 10.0])
+        with pytest.raises(oracle.OracleSolveError) as exc:
+            oracle._solve_stack(((lengths, 0.0),), k, params)
+        assert "(cond=nan) at k=0.5, params=SystemParams(detuning_ratio=0.25, " \
+            "coupling_length=10.0, photon_number=0)" in str(exc.value)
+
+    def test_huge_k_is_a_domain_error(self):
+        # k^2 overflows above about 1.34e154
+        params = SystemParams(0.0, 100.0, 0)
+        with pytest.raises(DomainError, match="finite square, got 1e\\+300"):
+            solve(ModeFunction.mesa(100.0), 1e300, params)
+        with pytest.raises(DomainError, match="finite square, got 2e\\+154"):
+            solve_mesa(np.array([0.5, 2e154, 1e300]), [params] * 3)
+
+    def test_amplitudes_keep_their_bits(self):
+        k = np.array([p[2] for p in RECORDED_AMPLITUDES])
+        params = [SystemParams(d, kl, n) for *_, d, n, kl in RECORDED_AMPLITUDES]
+        res = solve_mesa(k, params)
+        for i, (a, b, *_) in enumerate(RECORDED_AMPLITUDES):
+            recorded = [from_hex(*a), from_hex(*b)]
+            assert np.array_equal(bits([res.t_a[i], res.t_b[i]]), bits(recorded))
+        one = solve(STEP, 0.2, SystemParams(-1.0, 50.0, 1))
+        recorded = [from_hex("-0x1.a41bd5ab36fb7p-4", "-0x1.59f3c544f2fb9p-4"),
+                    from_hex("0x1.893b3ddd5c355p-6", "0x1.0ba20a975bd23p-3")]
+        assert np.array_equal(bits([one.t_a, one.t_b]), bits(recorded))
 
 
 class TestConvergence:
