@@ -10,7 +10,6 @@ widths are ordinary Hz (angular widths divided by 2 pi).
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import os
@@ -29,10 +28,10 @@ from .ultracold import (
     _catalogs_in_window,
     _peak_positions,
     _resonance_amplitudes,
+    _ultracold_valid,
     catalog_in_window,
     resonance_positions,
     transmissions_ultracold,
-    ultracold_valid,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -272,13 +271,26 @@ def _read_config(path: str, sp: argparse.ArgumentParser) -> dict:
     return values
 
 
-def _sweep_points(args):
-    """(k, params) of each row, in row order; params are built as rows need them."""
+def _blocks(n: int):
+    """The slices of n rows, `ARRAY_BLOCK` at a time."""
+    return (slice(lo, lo + ARRAY_BLOCK) for lo in range(0, n, ARRAY_BLOCK))
+
+
+def _sweep_blocks(args):
+    """(k, record) of each block of rows, in row order; record is a `_Dressed`.
+
+    A delta sweep builds one record per block.  A k sweep builds one
+    `SystemParams` per detuning, and each block takes its rows of them.
+    """
     if args.sweep == "delta":
         if args.refine:
             raise DomainError("--refine applies only to --sweep k")
-        for d in np.linspace(args.delta_min, args.delta_max, args.points).tolist():
-            yield args.k, SystemParams(d, args.coupling_length, args.photon_number)
+        deltas = np.linspace(args.delta_min, args.delta_max, args.points)
+        for block in _blocks(deltas.size):
+            d = deltas[block]
+            yield np.full(d.size, args.k), _Dressed.build(
+                d, args.coupling_length, args.photon_number
+            )
         return
     rows = [
         SystemParams(d, args.coupling_length, args.photon_number) for d in args.delta
@@ -289,23 +301,20 @@ def _sweep_points(args):
         # every detuning's catalog in one batch; each grid takes its own peaks
         catalogs = _catalogs_in_window(rows, args.k_max, args.k_min)
         grids = [refined_grid(grid, args.k_min, args.k_max, [c]) for c in catalogs]
-    for params, grid in zip(rows, grids):
-        for k in grid.tolist():
-            yield k, params
+    k = np.concatenate(grids)
+    owner = np.repeat(np.arange(len(rows)), [g.size for g in grids])
+    record = _Dressed.stack(rows)
+    for block in _blocks(k.size):
+        yield k[block], record.take(owner[block])
 
 
 def cmd_transmission(args) -> int:
     blocks = [(np.empty(0),) * 5 + (np.empty(0, bool),)]  # a sweep may have no rows
-    points = _sweep_points(args)
-    # one block's SystemParams at a time: holding all of them costs memory
-    while block := list(itertools.islice(points, ARRAY_BLOCK)):
-        ks, params = zip(*block)
-        k = np.array(ks)
-        t_a, t_b = transmissions(k, params)
+    for k, record in _sweep_blocks(args):
+        t_a, t_b = transmissions(k, record)
         blocks.append((
-            k, np.array([p.detuning_ratio for p in params]), t_a, t_b,
-            transmissions_ultracold(k, params),
-            np.array(list(map(ultracold_valid, ks, params))),
+            k, record.detuning_ratio, t_a, t_b,
+            transmissions_ultracold(k, record), _ultracold_valid(k, record),
         ))
     k, delta, t_a, t_b, t_uc, valid = map(np.concatenate, zip(*blocks))
     values = {
@@ -345,18 +354,14 @@ def cmd_resonances(args) -> int:
 
 def cmd_amplitude(args) -> int:
     deltas = np.linspace(args.delta_min, args.delta_max, args.points)
-    rows = [
-        SystemParams(d, args.coupling_length, args.photon_number)
-        for d in deltas.tolist()
-    ]
-    position = _peak_positions(args.m, rows)
+    record = _Dressed.build(deltas, args.coupling_length, args.photon_number)
+    position = _peak_positions(args.m, record)
     found = ~np.isnan(position)
     delta, position = deltas[found], position[found]
-    # one array call over the rows that have the peak
-    kept = _Dressed.stack([p for p, f in zip(rows, found.tolist()) if f])
     values = {
         "delta": delta, "m": [args.m] * delta.size, "position": position,
-        "amplitude": _resonance_amplitudes(position, kept),
+        # one array call over the rows that have the peak
+        "amplitude": _resonance_amplitudes(position, record.take(found)),
     }
     if args.g_hz is not None:
         values["delta_hz"] = delta * args.g_hz / TWO_PI
@@ -364,7 +369,12 @@ def cmd_amplitude(args) -> int:
     return 0
 
 
-def _photon_state(args, delta: float):
+def _photon_state(args, delta: float, ahead: int = 0):
+    """(base params, initial distribution, Pbar_em lookup, stationary distribution).
+
+    Each batch the lookup integrates also takes the `ahead` photon numbers
+    past the largest one asked for.
+    """
     base = SystemParams(delta, args.coupling_length, 0)
     grid = np.linspace(0.0, args.k_max, args.points)
     init = maxwell_boltzmann_initial(args.k0, grid)
@@ -375,6 +385,8 @@ def _photon_state(args, delta: float):
         """Pbar_em of each n in ns, integrating the uncached ones in one batch."""
         missing = [n for n in ns if n not in cache]
         if missing:
+            last = max(ns)
+            missing += [n for n in range(last + 1, last + 1 + ahead) if n not in cache]
             cache.update(zip(missing, mean_p_em(missing, init, base)))
         return [cache[n] for n in ns]
 
@@ -385,7 +397,9 @@ def _photon_state(args, delta: float):
 
 
 def cmd_pump(args) -> int:
-    _, _, mem, dist = _photon_state(args, args.delta)
+    # Pbar_em is printed up to the truncation N_max, one past what the
+    # stationary distribution asks for: the same batch integrates it
+    _, _, mem, dist = _photon_state(args, args.delta, ahead=1)
     n = range(len(dist.probabilities))
     _emit(args, {"n": n, "p_st": dist.probabilities, "mean_p_em": mem(n)})
     return 0
@@ -424,7 +438,7 @@ def cmd_oracle_check(args) -> int:
     log_k = (math.log10(args.k_min), math.log10(args.k_max))
     log_kl = (math.log10(args.kl_min), math.log10(args.kl_max))
     blocks = []
-    # one block's SystemParams at a time: holding all of them costs memory
+    # one block's draws at a time: holding all of them costs memory
     for start in range(0, args.samples, ARRAY_BLOCK):
         draws = []
         for _ in range(min(ARRAY_BLOCK, args.samples - start)):
@@ -433,12 +447,12 @@ def cmd_oracle_check(args) -> int:
             n = int(rng.integers(0, args.n_max + 1))
             kl = 10.0 ** rng.uniform(*log_kl)
             draws.append((k, d, n, kl))
-        params = [SystemParams(d, kl, n) for _, d, n, kl in draws]
         k, d, n, kl = map(np.array, zip(*draws))
+        record = _Dressed.build(d, kl, n)
         # the oracle first, so an ill-conditioned sample is reported before a
         # later sample's closed-form fallback meets the same system
-        o = solve_mesa(k, params)
-        t_a, t_b = transmissions(k, params)
+        o = solve_mesa(k, d, kl, n)
+        t_a, t_b = transmissions(k, record)
         blocks.append((
             k, d, n, kl,
             abs(t_a - abs(o.t_a) ** 2), abs(t_b - o.T_b), abs(o.flux_sum - 1.0),

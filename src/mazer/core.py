@@ -1,5 +1,9 @@
 """Dimensionless system parameters, dressed-state geometry and channel wavenumbers.
 
+The dressed-state quantities of a parameter set are computed in one place,
+`_dressed_row`: `SystemParams` takes one row, and `_Dressed.build` a block of
+rows stacked over points.
+
 Conventions used everywhere in this package:
 
 * wavenumbers are expressed in units of kappa = sqrt(2 m g / hbar),
@@ -14,6 +18,7 @@ k_b = sqrt(k^2 - delta/g); the channel is open only for k^2 > delta/g.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -64,18 +69,44 @@ def _flux_b(k, k_b, t_b):
     return np.where(_is_open(k_b), (k_b.real / k) * abs(t_b) ** 2, 0.0)
 
 
+# the dressed-state quantities `_dressed_row` derives from (delta/g, n), in its order
+_DERIVED = (
+    "rabi_ratio", "kappa_n", "theta", "tan_theta", "cot_theta", "cos2_theta",
+    "sin2_theta", "shift_plus", "shift_minus",
+)
+
+
+def _dressed_row(detuning_ratio: float, photon_number: int) -> tuple[float, ...]:
+    """The `_DERIVED` quantities of one (delta/g, n); the one place they are computed.
+
+    `SystemParams` takes one row, and `_Dressed.build` a block of rows.  Each
+    is a scalar `math` call or Python's **: np.arctan2 and np.tan are an ulp
+    off math's on some angles, and the closed form magnifies that near sharp
+    resonances.
+    """
+    n1 = photon_number + 1.0
+    root = math.sqrt(n1)
+    # 2 theta in (0, pi) with cot(2 theta) = -delta / Omega; atan2 keeps theta
+    # accurate in the theta -> 0 and theta -> pi/2 limits
+    theta = 0.5 * math.atan2(2.0 * root, -detuning_ratio)
+    tan_theta = math.tan(theta)
+    cot_theta = 1.0 / tan_theta
+    return (
+        2.0 * root, n1**0.25, theta, tan_theta, cot_theta,
+        math.cos(theta) ** 2, math.sin(theta) ** 2,
+        root * tan_theta, root * cot_theta,
+    )
+
+
 def dressed_angle(detuning_ratio: float, photon_number: int) -> float:
     """Mixing angle theta_n of the dressed-state basis, in (0, pi/2).
 
     Defined by cot(2 theta_n) = -(delta/g) / (Omega_n/g) with
-    Omega_n/g = 2 sqrt(n+1).  Computed through atan2 so the angle stays
-    accurate in the theta -> 0 and theta -> pi/2 limits.
+    Omega_n/g = 2 sqrt(n+1).
     """
     if photon_number < 0:
         raise DomainError(f"photon_number must be >= 0, got {photon_number}")
-    omega_ratio = 2.0 * math.sqrt(photon_number + 1.0)
-    # 2*theta in (0, pi) with cot(2*theta) = -delta / Omega
-    return 0.5 * math.atan2(omega_ratio, -detuning_ratio)
+    return _dressed_row(detuning_ratio, photon_number)[_DERIVED.index("theta")]
 
 
 @dataclass(frozen=True)
@@ -87,7 +118,8 @@ class SystemParams:
     photon_number:   cavity Fock state n seen by the excited atom (>= 0)
 
     The dressed-state quantities the closed forms read are set once, when
-    the parameters are built (equality, hashing and repr use only the inputs):
+    the parameters are built, by `_dressed_row` (equality, hashing and repr
+    use only the inputs):
 
     rabi_ratio:  Omega_n/g = 2 sqrt(n+1);  kappa_n: kappa_n/kappa = (n+1)^(1/4)
     theta:       mixing angle theta_n (`dressed_angle`), with tan_theta,
@@ -113,26 +145,14 @@ class SystemParams:
             raise DomainError(
                 f"photon_number must be >= 0, got {self.photon_number}"
             )
-        n1 = self.photon_number + 1.0
-        theta = dressed_angle(self.detuning_ratio, self.photon_number)
-        tan_theta = math.tan(theta)
-        cot_theta = 1.0 / tan_theta
         # the dataclass is frozen, so the derived values go straight into __dict__
         self.__dict__.update(
-            rabi_ratio=2.0 * math.sqrt(n1),
-            kappa_n=n1**0.25,
-            theta=theta,
-            tan_theta=tan_theta,
-            cot_theta=cot_theta,
-            cos2_theta=math.cos(theta) ** 2,
-            sin2_theta=math.sin(theta) ** 2,
-            shift_plus=math.sqrt(n1) * tan_theta,
-            shift_minus=math.sqrt(n1) * cot_theta,
+            zip(_DERIVED, _dressed_row(self.detuning_ratio, self.photon_number))
         )
 
 
 class _Dressed(NamedTuple):
-    """The `SystemParams` attributes the closed forms read, stacked over points.
+    """Parameter sets stacked over points: the `SystemParams` inputs and `_DERIVED`.
 
     Each field is an array with one element per point, holding the value of
     the `SystemParams` attribute of the same name; a single `SystemParams`
@@ -142,8 +162,11 @@ class _Dressed(NamedTuple):
 
     detuning_ratio: np.ndarray
     coupling_length: np.ndarray
+    photon_number: np.ndarray
+    rabi_ratio: np.ndarray
     kappa_n: np.ndarray
     theta: np.ndarray
+    tan_theta: np.ndarray
     cot_theta: np.ndarray
     cos2_theta: np.ndarray
     sin2_theta: np.ndarray
@@ -151,17 +174,60 @@ class _Dressed(NamedTuple):
     shift_minus: np.ndarray
 
     @classmethod
-    def stack(cls, params: Sequence[SystemParams]) -> _Dressed:
-        """The record of points i = 0, 1, ... with parameters params[i].
+    def build(cls, detuning_ratio, coupling_length, photon_number) -> _Dressed:
+        """The record of points i = 0, 1, ... with parameters (detuning_ratio[i],
+        coupling_length[i], photon_number[i]); a scalar applies to every point.
 
-        The values are copied, not recomputed with numpy: np.arctan2 and
-        np.tan are an ulp off math's on some angles, and the closed form
-        magnifies that near sharp resonances.
+        No `SystemParams` is built: each row is `_dressed_row`'s, so it holds
+        the bits of `SystemParams(detuning_ratio[i], ...)`.  The first invalid
+        point raises the `DomainError` its `SystemParams` raises, or one that
+        names the point where `SystemParams` accepts it (a nan n).
         """
-        return cls(*(
-            np.array([getattr(p, name) for p in params], dtype=float)
-            for name in cls._fields
-        ))
+        d, kl, n = (
+            np.array(v)
+            for v in np.broadcast_arrays(
+                np.asarray(detuning_ratio, dtype=float),
+                np.asarray(coupling_length, dtype=float),
+                np.asarray(photon_number),
+            )
+        )
+        valid = np.isfinite(d) & (kl > 0.0) & np.isfinite(kl) & (n >= 0)
+        if not valid.all():
+            i = np.argmin(valid)
+            point = d[i].item(), kl[i].item(), n[i].item()
+            SystemParams(*point)  # raises for every point SystemParams rejects
+            raise DomainError(f"invalid parameters (delta/g, kappa L, n) = {point}")
+        rows = itertools.chain.from_iterable(
+            map(_dressed_row, d.tolist(), n.tolist())
+        )
+        derived = np.fromiter(rows, float, count=d.size * len(_DERIVED))
+        return cls(d, kl, n, *derived.reshape(d.size, len(_DERIVED)).T.copy())
+
+    @classmethod
+    def stack(cls, params: Sequence[SystemParams]) -> _Dressed:
+        """`build` over the inputs of params[i], i = 0, 1, ..."""
+        return cls.build(
+            [p.detuning_ratio for p in params],
+            [p.coupling_length for p in params],
+            [p.photon_number for p in params],
+        )
+
+    @property
+    def size(self) -> int:
+        """The number of points."""
+        return self.detuning_ratio.size
+
+    def take(self, index) -> _Dressed:
+        """The record of the points that index (a slice or an index array) picks."""
+        return self._make(f[index] for f in self)
+
+    def params(self, i: int) -> SystemParams:
+        """Point i as a `SystemParams` of Python numbers, for a fallback or a message."""
+        return SystemParams(
+            self.detuning_ratio[i].item(),
+            self.coupling_length[i].item(),
+            self.photon_number[i].item(),
+        )
 
 
 @dataclass(frozen=True)

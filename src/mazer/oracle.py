@@ -12,12 +12,15 @@ dense linear system for the reflection and transmission amplitudes.  A
 system whose condition bound ||A||_F ||A^-1||_F exceeds `CONDITION_LIMIT`
 is reported instead of solved.  The solver never uses the closed-form
 transmission formulas, so agreement with them is a genuine cross-check.
-`solve` takes one point; `solve_mesa` takes many mesa-mode points and
-solves their systems as one stack.
+`solve` takes one point; `solve_mesa` takes many mesa-mode points, as
+arrays of k, delta/g, kappa L and n, and solves their systems as one stack.
+Both read only these inputs of a point, never a derived dressed-state
+quantity.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -58,8 +61,8 @@ class ModeFunction:
         if not self.segments:
             raise DomainError("mode function needs at least one segment")
         for length, value in self.segments:
-            if length <= 0.0:
-                raise DomainError(f"segment length must be > 0, got {length}")
+            if not (length > 0.0 and math.isfinite(length)):  # nan fails too
+                raise DomainError(f"segment length must be finite and > 0, got {length}")
             if not 0.0 <= value <= 1.0:
                 raise DomainError(f"segment value must lie in [0, 1], got {value}")
 
@@ -148,20 +151,22 @@ def _frobenius(A: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", x, x))
 
 
-def _solve_stack(segments, k: np.ndarray, params: Sequence[SystemParams]):
-    """(x, Re k_b): boundary-matching solutions at every (k[i], params[i]).
+def _solve_stack(segments, k: np.ndarray, detuning, coupling_length, photon_number):
+    """(x, Re k_b): boundary-matching solutions at every point i.
 
-    `segments` are the (length, value) pairs of one mode; a length may be an
-    array with one entry per point.  Each point's system is assembled along a
-    leading batch axis, and one eigh, one inverse (for `_condition_bound`)
-    and one solve run over the stack; the batch axis changes no element's
-    arithmetic.  The solve does not reuse the inverse, so x keeps the bits
-    of an LU solve.  x[i] holds (r_a, r_b, 4 coefficients per segment, t_a,
-    t_b).  A k whose square overflows is a `DomainError`.
+    Point i has incident k[i] and parameters (detuning[i], coupling_length[i],
+    photon_number[i]), arrays as `solve_mesa` takes them; coupling_length
+    only names a rejected point.  `segments` are the (length, value) pairs
+    of one mode; a length may be an array with one entry per point.  Each
+    point's system is assembled along a leading batch axis, and one eigh,
+    one inverse (for `_condition_bound`) and one solve run over the stack;
+    the batch axis changes no element's arithmetic.  The solve does not
+    reuse the inverse, so x keeps the bits of an LU solve.  x[i] holds (r_a,
+    r_b, 4 coefficients per segment, t_a, t_b).  A k whose square overflows
+    is a `DomainError`.
     """
     batch = len(k)
-    detuning = np.array([p.detuning_ratio for p in params], dtype=float)
-    s = np.sqrt(np.array([p.photon_number for p in params]) + 1.0)
+    s = np.sqrt(photon_number + 1.0)
     with np.errstate(over="ignore"):
         kk = k * k
     huge = np.flatnonzero(np.isinf(kk))
@@ -249,9 +254,12 @@ def _solve_stack(segments, k: np.ndarray, params: Sequence[SystemParams]):
     bad = np.flatnonzero(~(cond <= CONDITION_LIMIT))  # inf and nan fail too
     if bad.size:
         i = bad[0]
+        params = SystemParams(
+            detuning[i].item(), coupling_length[i].item(), photon_number[i].item()
+        )
         raise OracleSolveError(
             f"ill-conditioned boundary system (cond={cond[i]:.3e}) at "
-            f"k={float(k[i])}, params={params[i]}"
+            f"k={float(k[i])}, params={params}"
         )
     # rhs as a stack of one-column matrices, so every numpy reads it alike
     return np.linalg.solve(A, rhs[..., None])[..., 0], kb.real
@@ -267,28 +275,47 @@ def solve(mode: ModeFunction, k: float, params: SystemParams) -> SMatrixResult:
     """
     if not k > 0.0:
         raise DomainError(f"incident wavenumber must be > 0, got {k}")
-    x, kb_real = _solve_stack(mode.segments, np.array([k], dtype=float), (params,))
+    x, kb_real = _solve_stack(
+        mode.segments,
+        np.array([k], dtype=float),
+        *(np.array([v]) for v in (
+            params.detuning_ratio, params.coupling_length, params.photon_number
+        )),
+    )
     amplitudes = (complex(x[0, i]) for i in (0, 1, -2, -1))
     return _result(k, float(kb_real[0]), *amplitudes)
 
 
-def solve_mesa(k, params: Sequence[SystemParams]) -> SMatrixResult:
+def solve_mesa(k, detuning_ratio, coupling_length, photon_number) -> SMatrixResult:
     """`solve` for the mesa mode of each point, over arrays of points at once.
 
-    Point i is `solve(ModeFunction.mesa(params[i].coupling_length), k[i],
-    params[i])`, with the same t_a and t_b bit for bit; every field of the
-    result is an array over the points.  The first ill-conditioned point
-    raises `OracleSolveError` with its own k and params.
+    Point i is `solve(ModeFunction.mesa(coupling_length[i]), k[i],
+    SystemParams(detuning_ratio[i], coupling_length[i], photon_number[i]))`,
+    with the same t_a and t_b bit for bit; every field of the result is an
+    array over the points.  The inputs are 1-d arrays of one size, and no
+    `SystemParams` is built unless a point is rejected: the first invalid
+    point raises the `DomainError` its `SystemParams` raises (or one naming
+    the point, where `SystemParams` accepts it: a nan n), and the first
+    ill-conditioned one `OracleSolveError`, with its own k and parameters.
     """
     k = np.asarray(k, dtype=float)
     if not np.all(k > 0.0):
         raise DomainError(f"incident wavenumbers must be > 0, got {k.min()}")
-    if k.ndim != 1 or len(params) != k.size:
+    d = np.asarray(detuning_ratio, dtype=float)
+    kl = np.asarray(coupling_length, dtype=float)
+    n = np.asarray(photon_number)
+    if k.ndim != 1 or any(v.shape != k.shape for v in (d, kl, n)):
         raise ValueError(
-            f"need one SystemParams per point, got {len(params)} for k of shape {k.shape}"
+            "need one detuning, coupling length and photon number per point, got "
+            f"shapes {d.shape}, {kl.shape} and {n.shape} for k of shape {k.shape}"
         )
-    lengths = np.array([p.coupling_length for p in params], dtype=float)
-    x, kb_real = _solve_stack(((lengths, 1.0),), k, params)
+    valid = np.isfinite(d) & (kl > 0.0) & np.isfinite(kl) & (n >= 0)
+    if not valid.all():
+        i = np.argmin(valid)
+        point = d[i].item(), kl[i].item(), n[i].item()
+        SystemParams(*point)  # raises for every point SystemParams rejects
+        raise DomainError(f"invalid parameters (delta/g, kappa L, n) = {point}")
+    x, kb_real = _solve_stack(((kl, 1.0),), k, d, kl, n)
     return _result(k, kb_real, x[:, 0], x[:, 1], x[:, -2], x[:, -1])
 
 

@@ -8,7 +8,8 @@ denominator is evaluated in cleared-fraction, exponentially scaled form so
 cot/tan poles and cosh overflows never materialize.
 
 The closed form is written once, over numpy arrays of k, for one parameter
-set or one per point; `transmissions` is how sweeps, `oracle-check` and the
+set or one per point (a `_Dressed` record, which a sweep builds once per
+block); `transmissions` is how sweeps, `oracle-check` and the
 velocity-selection pipeline use it.  Each scalar entry (`scatter`, `tau_pm`,
 `inverse_denominator`) is a one-element call of the same array form, so its
 result is the bits of the array's element.
@@ -229,75 +230,75 @@ def scatter(k: float, params: SystemParams) -> ScatteringResult:
     evaluator, so T_a and T_b are its bits.
     """
     tau_a, tau_b, T_a, T_b = (
-        v.item() for v in _evaluate(np.array([_incident(k)]), params, [params])
+        v.item() for v in _evaluate(np.array([_incident(k)]), params)
     )
     return ScatteringResult(
         tau_a=tau_a, tau_b=tau_b, T_a=T_a, T_b=T_b, T_total=T_a + T_b
     )
 
 
-def _evaluate(k: np.ndarray, dressed, each: Sequence[SystemParams]):
+def _evaluate(k: np.ndarray, dressed):
     """(tau_a, tau_b, T_a, T_b) over the 1-d block k, as `scatter` gives them.
 
     `dressed` is what the closed form reads for the block (a `SystemParams`
     or a `_Dressed` record); each point the guard rejects is recomputed
-    alone by the boundary-matching solve, with its own params each[i].
+    alone by the boundary-matching solve, with its own `SystemParams`.
     """
     with np.errstate(all="ignore"):
         *out, trusted = _scatter_closed_form(k, dressed)
     for i in np.flatnonzero(~trusted):
-        res = _scatter_matching(float(k[i]), each[i])
+        params = dressed if isinstance(dressed, SystemParams) else dressed.params(i)
+        res = _scatter_matching(float(k[i]), params)
         for values, value in zip(out, (res.tau_a, res.tau_b, res.T_a, res.T_b)):
             values[i] = value
     return out
 
 
 def _blockwise(k, params, evaluate, owner=None):
-    """`evaluate(k, dressed, each)` over the points of k, `ARRAY_BLOCK` at a time.
+    """`evaluate(k, dressed)` over the points of k, `ARRAY_BLOCK` at a time.
 
     k (> 0) and params are as for `transmissions`.  `evaluate` gets a 1-d block
-    of k, what the closed form reads for it (params, or the block's
-    `_Dressed.stack`) and each point's `SystemParams`; it returns arrays over
-    the block, which come back joined in k's shape.  With `owner`, an integer
-    array shaped like k, params is instead a `_Dressed` record whose row
-    owner[i] point i takes: each block gathers its rows, and `each` is None.
+    of k and what the closed form reads for it: params itself, or the block's
+    rows of the record; it returns arrays over the block, which come back
+    joined in k's shape.  With `owner`, an integer array shaped like k,
+    params is instead a record whose row owner[i] point i takes.
     """
     k = np.asarray(k, dtype=float)
     if not np.all(k > 0.0):
         raise DomainError(f"incident wavenumbers must be > 0, got {k.min()}")
     single = isinstance(params, SystemParams)
+    if not (single or isinstance(params, _Dressed)):
+        params = _Dressed.stack(params)
     if owner is not None:
         owner = np.asarray(owner).ravel()
         if owner.size != k.size:
             raise ValueError(f"need one owner per point, got {owner.size} for {k.size}")
-    elif not single and (k.ndim != 1 or len(params) != k.size):
+    elif not single and (k.ndim != 1 or params.size != k.size):
         raise ValueError(
-            f"need one SystemParams per point, got {len(params)} for k of shape {k.shape}"
+            f"need one SystemParams per point, got {params.size} for k of shape {k.shape}"
         )
     flat = k.ravel()
     blocks = []
     # an empty k still makes one (empty) call, so that every output has an array
     for lo in range(0, max(flat.size, 1), ARRAY_BLOCK):
-        block = flat[lo:lo + ARRAY_BLOCK]
-        if owner is not None:
-            rows = owner[lo:lo + ARRAY_BLOCK]
-            blocks.append(evaluate(block, params._make(f[rows] for f in params), None))
-            continue
-        each = [params] * block.size if single else params[lo:lo + ARRAY_BLOCK]
-        blocks.append(evaluate(block, params if single else _Dressed.stack(each), each))
+        block = slice(lo, lo + ARRAY_BLOCK)
+        if single:
+            dressed = params
+        else:
+            dressed = params.take(block if owner is None else owner[block])
+        blocks.append(evaluate(flat[block], dressed))
     return tuple(np.concatenate(out).reshape(k.shape) for out in zip(*blocks))
 
 
 def transmissions(
-    k, params: SystemParams | Sequence[SystemParams]
+    k, params: SystemParams | _Dressed | Sequence[SystemParams]
 ) -> tuple[np.ndarray, np.ndarray]:
     """`scatter`'s (T_a, T_b) at every point of the array k, as arrays shaped like k.
 
-    params is one `SystemParams` for every point, or one per point of a 1-d
-    k.  The same closed form, guard and fallback as `scatter`, in one call per
-    `ARRAY_BLOCK` points, so every element is the bits `scatter` gives at
-    its point.
+    params is one `SystemParams` for every point, or one parameter set per
+    point of a 1-d k: a `_Dressed` record (`_Dressed.build`), or a sequence
+    of `SystemParams`, which is stacked into one.  The same closed form,
+    guard and fallback as `scatter`, in one call per `ARRAY_BLOCK` points,
+    so every element is the bits `scatter` gives at its point.
     """
-    return _blockwise(
-        k, params, lambda k, dressed, each: _evaluate(k, dressed, each)[2:]
-    )
+    return _blockwise(k, params, lambda k, dressed: _evaluate(k, dressed)[2:])

@@ -41,12 +41,21 @@ class ResonancePeak:
     refined: bool
 
 
-def ultracold_valid(k: float, params: SystemParams) -> bool:
+def _ultracold_valid(k: np.ndarray, params) -> np.ndarray:
+    """`ultracold_valid` at every point of k; params as for `_transmission_ultracold`.
+
+    np.sqrt rounds correctly, as math.sqrt does, so each element is the
+    scalar entry's.
+    """
     kn = params.kappa_n
-    return (
-        k < VALIDITY_K_FACTOR * kn * math.sqrt(params.tan_theta)
-        and kn * params.coupling_length > VALIDITY_MIN_KAPPA_N_L
+    return (k < VALIDITY_K_FACTOR * kn * np.sqrt(params.tan_theta)) & (
+        kn * params.coupling_length > VALIDITY_MIN_KAPPA_N_L
     )
+
+
+def ultracold_valid(k: float, params: SystemParams) -> bool:
+    """Whether k lies in the ultracold regime the closed forms of this module assume."""
+    return bool(_ultracold_valid(np.array([float(k)]), params)[0])
 
 
 def _branching(kb_ratio: np.ndarray, params: SystemParams) -> np.ndarray:
@@ -110,7 +119,7 @@ def _at_points(closed_form, k, params, owner=None) -> np.ndarray:
     entry is `_checked` on one element, so it returns that element's bits.
     """
     return _blockwise(
-        k, params, lambda k, dressed, _: (_checked(closed_form, k, dressed),), owner
+        k, params, lambda k, dressed: (_checked(closed_form, k, dressed),), owner
     )[0]
 
 
@@ -231,17 +240,16 @@ def _transmission_by_peak(record: _Dressed, owner: np.ndarray):
     return lambda k, i: _at_points(_transmission_ultracold, k, record, owner[i])
 
 
-def _located(params: Sequence[SystemParams], owner: np.ndarray, m: np.ndarray):
-    """(record, position, refined, spacing) of each peak m[i] of params[owner[i]].
+def _located(record: _Dressed, owner: np.ndarray, m: np.ndarray):
+    """(position, refined, spacing) of each peak m[i] of the record's row owner[i].
 
-    record is the params stacked; position is nan where a peak does not
-    exist.  Where channel b is closed at the analytic position (k^2 <= delta/g)
-    the peak is refined (refined[i] is true): its position is the top of the
-    ultracold transmission within half a spacing of the analytic one.
+    position is nan where a peak does not exist.  Where channel b is closed
+    at the analytic position (k^2 <= delta/g) the peak is refined (refined[i]
+    is true): its position is the top of the ultracold transmission within
+    half a spacing of the analytic one.
     """
     _check_indices(m)
-    record = _Dressed.stack(params)
-    rows = record._make(f[owner] for f in record)
+    rows = record.take(owner)
     position = _analytic_positions(m, rows)
     spacing = _peak_spacing(m, rows)
     k_b = _channels(position, rows)[0]
@@ -254,7 +262,7 @@ def _located(params: Sequence[SystemParams], owner: np.ndarray, m: np.ndarray):
             seed + gap,
             seed * 1e-10,  # within ~1e-10 of a refined top, T is flat to rounding
         )
-    return record, position, refined, spacing
+    return position, refined, spacing
 
 
 _INV_PHI = 0.5 * (math.sqrt(5.0) - 1.0)
@@ -293,13 +301,13 @@ def _golden_max(f, a, b, tol) -> np.ndarray:
 
 def peak_position(m: int, params: SystemParams) -> float | None:
     """Position of peak m (analytic, or refined where channel b is closed)."""
-    pos = float(_peak_positions(m, [params])[0])
+    pos = float(_peak_positions(m, _Dressed.stack([params]))[0])
     return None if math.isnan(pos) else pos
 
 
-def _peak_positions(m: int, params: Sequence[SystemParams]) -> np.ndarray:
-    """`peak_position` of peak m for every params, in one batch; nan where none."""
-    return _located(params, np.arange(len(params)), np.full(len(params), m))[1]
+def _peak_positions(m: int, record: _Dressed) -> np.ndarray:
+    """`peak_position` of peak m for every row of the record, in one batch; nan where none."""
+    return _located(record, np.arange(record.size), np.full(record.size, m))[0]
 
 
 def _widths(t, position, half, spacing) -> tuple[np.ndarray, np.ndarray]:
@@ -359,7 +367,8 @@ def _catalogs(
     m = np.concatenate(
         [np.empty(0, int), *(np.arange(lo, hi + 1) for lo, hi in m_ranges)]
     )
-    record, position, refined, spacing = _located(params, owner, m)
+    record = _Dressed.stack(params)
+    position, refined, spacing = _located(record, owner, m)
     kept = (k_min < position) & (position <= k_max)
     owner, m, position, refined, spacing = (
         v[kept] for v in (owner, m, position, refined, spacing)

@@ -15,6 +15,7 @@ import pytest
 import mazer
 from mazer import SystemParams, oracle, scatter, transmission_ultracold, ultracold_valid
 from mazer.cli import COLUMNS, PRESETS, _read_config, _write, build_parser, main
+from mazer.scattering import ARRAY_BLOCK, transmissions
 from mazer.oracle import ModeFunction, OracleSolveError, solve
 from mazer.ultracold import peak_position, resonance_amplitude
 
@@ -272,6 +273,114 @@ class TestTransmissionSweeps:
         assert a.read_bytes() == b.read_bytes()
 
 
+# delta sweeps as (argv, kappa L, n); the last is CI's sweep at n = 7
+DELTA_SWEEPS = {
+    "fig3a": (["transmission", "--preset", "fig3a"], 1000.0, 0),
+    "fig3b": (["transmission", "--preset", "fig3b"], 1000.0, 0),
+    "n7": (["transmission", "--sweep", "delta", "--k", "0.3", "--delta-min", "-50",
+            "--delta-max", "50", "--points", "2001", "--photon-number", "7",
+            "--coupling-length", "3000"], 3000.0, 7),
+}
+# amplitude sweeps as (argv, kappa L, n, m)
+AMPLITUDE_SWEEPS = {
+    "fig2": (["amplitude", "--preset", "fig2"], KL, 0, 1001),
+    "n3": (["amplitude", "--photon-number", "3", "--coupling-length",
+            "628.3185307179587", "--m", "284"], 628.3185307179587, 3, 284),
+}
+
+
+def checked_rows(count):
+    """Every 61st row, and the rows on both sides of each array block boundary."""
+    rows = set(range(0, count, 61))
+    for edge in range(ARRAY_BLOCK, count, ARRAY_BLOCK):
+        rows.update(range(edge - 2, min(edge + 2, count)))
+    return sorted(rows)
+
+
+class TestOneRecordPerBlock:
+    """The sweeps read one `_Dressed` record per block, not a `SystemParams` per
+    row; each row still holds the scalar entries' bits at its own params."""
+
+    @pytest.mark.parametrize("sweep", DELTA_SWEEPS)
+    def test_delta_sweep_rows_are_the_scalar_entries(self, tmp_path, sweep):
+        argv, kl, n = DELTA_SWEEPS[sweep]
+        out = tmp_path / "t.csv"
+        assert main([*argv, "--out", str(out)]) == 0
+        lines = read_lines(out)[1:]
+        for i in checked_rows(len(lines)):
+            k, d, t_a, t_b, t_total, t_uc, valid = lines[i].split(",")
+            k, d = float(k), float(d)
+            params = SystemParams(d, kl, n)
+            res = scatter(k, params)
+            assert repr((float(t_a), float(t_b), float(t_total))) == repr(
+                (res.T_a, res.T_b, res.T_total)
+            ), i
+            assert repr(float(t_uc)) == repr(transmission_ultracold(k, params)), i
+            assert valid == ("1" if ultracold_valid(k, params) else "0"), i
+
+    @pytest.mark.parametrize("sweep", AMPLITUDE_SWEEPS)
+    def test_amplitude_rows_are_the_scalar_entries(self, tmp_path, sweep):
+        argv, kl, n, m = AMPLITUDE_SWEEPS[sweep]
+        out = tmp_path / "a.csv"
+        assert main([*argv, "--out", str(out)]) == 0
+        lines = read_lines(out)[1:]
+        assert len(lines) > ARRAY_BLOCK
+        for i in checked_rows(len(lines)):
+            d, row_m, position, amplitude = lines[i].split(",")
+            params = SystemParams(float(d), kl, n)
+            assert int(row_m) == m
+            assert repr(float(position)) == repr(peak_position(m, params)), i
+            assert repr(float(amplitude)) == repr(
+                resonance_amplitude(float(position), params)
+            ), i
+
+    def test_oracle_check_rows_are_the_scalar_entries(self, tmp_path, monkeypatch):
+        seen = []
+
+        def spy(k, record):
+            t = transmissions(k, record)
+            seen.append((k, *t))
+            return t
+
+        monkeypatch.setattr(mazer.cli, "transmissions", spy)
+        out = tmp_path / "oc.csv"
+        assert main([
+            "oracle-check", "--samples", "1500", "--n-max", "50", "--kl-max", "1e5",
+            "--delta-min", "-1e4", "--delta-max", "1e3", "--out", str(out),
+        ]) == 0
+        assert [k.size for k, _, _ in seen] == [ARRAY_BLOCK, 1500 - ARRAY_BLOCK]
+        lines = read_lines(out)[1:]
+        k_all, t_a, t_b = (np.concatenate(c) for c in zip(*seen))
+        for i in checked_rows(len(lines)):
+            k, d, n, kl = lines[i].split(",")[:4]
+            params = SystemParams(float(d), float(kl), int(n))
+            assert k_all[i] == float(k)
+            res = scatter(float(k), params)
+            assert repr((t_a[i].item(), t_b[i].item())) == repr((res.T_a, res.T_b)), i
+
+    def test_no_system_params_per_row(self, tmp_path, monkeypatch):
+        built = []
+        post_init = SystemParams.__post_init__
+
+        def counted(params):
+            built.append(params)
+            post_init(params)
+
+        monkeypatch.setattr(SystemParams, "__post_init__", counted)
+        runs = {
+            "fig3a": (["transmission", "--preset", "fig3a"], 0),
+            "n7": (DELTA_SWEEPS["n7"][0], 0),
+            "fig2": (["amplitude", "--preset", "fig2"], 0),
+            "oracle": (["oracle-check", "--samples", "2000"], 0),
+            # a k sweep builds one per detuning
+            "fig1b": (["transmission", "--preset", "fig1b"], 2),
+        }
+        for name, (argv, count) in runs.items():
+            built.clear()
+            assert main([*argv, "--out", str(tmp_path / "o.csv")]) == 0
+            assert len(built) == count, name
+
+
 class TestResonancesCommand:
     def test_catalog_starts_at_m_1001(self, tmp_path):
         out = tmp_path / "r.csv"
@@ -470,6 +579,27 @@ class TestPumpAndSelect:
         ratio = 0.2 / 1.2
         for n in range(1, 6):
             assert probs[n] / probs[n - 1] == pytest.approx(ratio, rel=1e-10)
+
+    def test_pump_integrates_its_last_row_in_the_first_batch(self, tmp_path, monkeypatch):
+        batches = []
+        real = mazer.cli.mean_p_em
+
+        def spy(ns, init, base):
+            batches.append(list(ns))
+            return real(ns, init, base)
+
+        monkeypatch.setattr(mazer.cli, "mean_p_em", spy)
+        common = [
+            "--pump-ratio", "0", "--n-b", "0.2", "--truncation", "16",
+            "--points", "101", "--k-max", "0.12", "--out", str(tmp_path / "o.csv"),
+        ]
+        # pump prints n = 0..16, one past what the stationary distribution reads
+        assert main(["pump", *common]) == 0
+        assert batches == [list(range(17))]
+        # select prints no Pbar_em, so it integrates only what is read
+        batches.clear()
+        assert main(["select", "--delta", "0", *common]) == 0
+        assert batches == [list(range(16))]
 
     def test_select_emits_initial_and_final_densities(self, tmp_path):
         out = tmp_path / "sel.csv"

@@ -1,7 +1,9 @@
 """Dressed-state geometry and channel-wavenumber tests."""
 
 import math
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from mazer.core import (
     ChannelWavenumbers,
     DomainError,
     SystemParams,
+    _Dressed,
     channel_wavenumbers,
     dressed_angle,
 )
@@ -119,6 +122,82 @@ class TestSystemParams:
     def test_invalid_photon_number_rejected(self):
         with pytest.raises(DomainError):
             SystemParams(0.0, 1.0, -2)
+
+
+def wide_domain_points(seed, size):
+    """(delta/g, kappa L, n) over the widest cross-check domain, with delta = 0 too."""
+    rng = np.random.default_rng(seed)
+    delta = rng.uniform(-1e4, 1e3, size)
+    delta[::10] = 0.0
+    return delta, 10.0 ** rng.uniform(1.0, 6.0, size), rng.integers(0, 51, size)
+
+
+class TestDressedBuild:
+    """`_Dressed.build`: the record of a block of points, with no `SystemParams`."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_rows_are_system_params_attributes(self, seed):
+        delta, kl, n = wide_domain_points(seed, 3000)
+        record = _Dressed.build(delta, kl, n)
+        assert record.size == delta.size
+        for i in range(delta.size):
+            p = SystemParams(delta[i].item(), kl[i].item(), n[i].item())
+            # repr tells every float apart and shows the Python type
+            want = repr(tuple(getattr(p, name) for name in _Dressed._fields))
+            assert repr(tuple(f[i].item() for f in record)) == want, i
+            assert record.params(i) == p
+        # stacking the SystemParams of the points gives the same record
+        stacked = _Dressed.stack([record.params(i) for i in range(delta.size)])
+        for name, built, again in zip(_Dressed._fields, record, stacked):
+            assert built.dtype == again.dtype, name
+            assert np.array_equal(built, again), name
+
+    def test_scalars_apply_to_every_point(self):
+        delta = np.linspace(-5.0, 5.0, 11)
+        record = _Dressed.build(delta, 1000.0, 7)
+        assert record.size == 11
+        full = _Dressed.build(delta, np.full(11, 1000.0), np.full(11, 7))
+        assert all(map(np.array_equal, record, full))
+        assert record.take(slice(3, 5)).params(1) == SystemParams(delta[4].item(), 1000.0, 7)
+        assert _Dressed.build(np.empty(0), 1000.0, 0).size == 0
+
+    @pytest.mark.parametrize(
+        "delta, kl, n",
+        [
+            ([0.0, math.nan, math.inf], [10.0, 10.0, 10.0], [0, 0, 0]),
+            ([0.0, 1.0, -math.inf], [10.0, -1.0, 10.0], [0, 0, 0]),
+            ([0.0, 1.0, 2.0], [10.0, 10.0, math.inf], [0, 0, -1]),
+            ([0.0, 1.0, 2.0], [10.0, 10.0, 10.0], [0, -3, 0]),
+            ([0.0, 1.0, 2.0], [10.0, 10.0, 0.0], [0, 0, 0]),
+            ([0.0, 1.0, 2.0], [10.0, 10.0, 10.0], [0, math.nan, -1]),
+        ],
+        ids=[
+            "nan-delta", "negative-length", "infinite-length", "negative-n",
+            "zero-length", "nan-n",
+        ],
+    )
+    def test_first_invalid_point_raises_its_error(self, delta, kl, n):
+        bad = next(
+            i for i in range(3)
+            if not (math.isfinite(delta[i]) and math.isfinite(kl[i]) and kl[i] > 0.0
+                    and n[i] >= 0)
+        )
+        point = delta[bad], kl[bad], n[bad]
+        # the point's SystemParams names it; a nan n, which SystemParams
+        # accepts, is named by its values
+        try:
+            SystemParams(*point)
+            want = f"invalid parameters (delta/g, kappa L, n) = {point}"
+        except DomainError as e:
+            want = str(e)
+        with pytest.raises(DomainError, match=f"^{re.escape(want)}$"):
+            _Dressed.build(np.array(delta), np.array(kl), np.array(n))
+
+    @given(delta=DETUNINGS, n=PHOTONS)
+    def test_dressed_angle_is_the_record_angle(self, delta, n):
+        theta = dressed_angle(delta, n)
+        assert theta == SystemParams(delta, 1.0, n).theta
+        assert theta == _Dressed.build(np.array([delta]), 1.0, n).theta[0]
 
 
 class TestChannelWavenumbers:

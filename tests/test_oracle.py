@@ -1,6 +1,7 @@
 """Coupled-channel boundary-matching solver: self-tests and cross-checks."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -35,6 +36,17 @@ class TestModeFunction:
             ModeFunction(segments=((0.0, 1.0),))
         with pytest.raises(DomainError):
             ModeFunction(segments=((1.0, 1.5),))
+
+    @pytest.mark.parametrize("length", [math.nan, math.inf, -math.inf])
+    def test_non_finite_length_rejected(self, length):
+        message = f"segment length must be finite and > 0, got {length}"
+        for build in (
+            lambda: ModeFunction(segments=((length, 1.0),)),
+            lambda: ModeFunction.mesa(length),
+            lambda: ModeFunction.from_profile([(1.0, 0.5), (length, 1.0)]),
+        ):
+            with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+                build()
 
 
 class TestSolve:
@@ -108,14 +120,27 @@ ORACLE_CHECK_POINTS = st.lists(
 STEP = ModeFunction.from_profile([(30.0, 1.0), (20.0, 0.6)])
 
 
+def inputs(params):
+    """The (detuning, coupling length, photon number) arrays of the params."""
+    return (
+        np.array([p.detuning_ratio for p in params]),
+        np.array([p.coupling_length for p in params]),
+        np.array([p.photon_number for p in params]),
+    )
+
+
+def mesa_batch(k, params):
+    return solve_mesa(k, *inputs(params))
+
+
 def step_batch(k, params):
-    x, kb_real = oracle._solve_stack(STEP.segments, k, params)
+    x, kb_real = oracle._solve_stack(STEP.segments, k, *inputs(params))
     return oracle._result(k, kb_real, x[:, 0], x[:, 1], x[:, -2], x[:, -1])
 
 
 # (mode of one point, batch over all points)
 BATCHES = {
-    "mesa": (lambda p: ModeFunction.mesa(p.coupling_length), solve_mesa),
+    "mesa": (lambda p: ModeFunction.mesa(p.coupling_length), mesa_batch),
     "step": (lambda p: STEP, step_batch),
 }
 
@@ -153,21 +178,44 @@ class TestStackedSolve:
                   (0.05, -1.0, 2, 100.0), (0.05, -300.0, 0, 5000.0)]
         k = np.array([p[0] for p in points])
         params = [SystemParams(d, kl, n) for _, d, n, kl in points]
-        solve_mesa(k, params)  # all four pass the default limit
+        mesa_batch(k, params)  # all four pass the default limit
         monkeypatch.setattr(oracle, "CONDITION_LIMIT", 100.0)
         with pytest.raises(oracle.OracleSolveError) as exc:
             solve(ModeFunction.mesa(100.0), 0.01, params[1])
         with pytest.raises(oracle.OracleSolveError) as batch_exc:
-            solve_mesa(k, params)
+            mesa_batch(k, params)
         assert str(batch_exc.value) == str(exc.value)
         assert "k=0.01, params=SystemParams(detuning_ratio=-300.0" in str(exc.value)
 
     def test_rejects_mismatched_or_nonpositive_points(self):
         params = SystemParams(0.0, 10.0, 0)
         with pytest.raises(ValueError):
-            solve_mesa(np.array([0.1, 0.2]), [params])
+            mesa_batch(np.array([0.1, 0.2]), [params])
         with pytest.raises(DomainError):
-            solve_mesa(np.array([0.1, 0.0]), [params] * 2)
+            mesa_batch(np.array([0.1, 0.0]), [params] * 2)
+        with pytest.raises(ValueError):
+            solve_mesa(np.full((2, 2), 0.1), *inputs([params] * 4))
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            (math.nan, 10.0, 0), (0.0, -1.0, 0), (0.0, math.inf, 0), (0.0, 10.0, -1),
+            (0.0, 10.0, math.nan),
+        ],
+        ids=["nan-delta", "negative-length", "infinite-length", "negative-n", "nan-n"],
+    )
+    def test_invalid_point_raises_its_params_error(self, bad):
+        # the first invalid point is named, as its SystemParams names it; a nan
+        # n, which SystemParams accepts, is named by its values
+        try:
+            SystemParams(*bad)
+            want = f"invalid parameters (delta/g, kappa L, n) = {bad}"
+        except DomainError as e:
+            want = str(e)
+        points = [(0.0, 10.0, 0), bad, (-math.inf, 0.0, -5)]
+        d, kl, n = (np.array(column) for column in zip(*points))
+        with pytest.raises(DomainError, match=f"^{re.escape(want)}$"):
+            solve_mesa(np.full(3, 0.1), d, kl, n)
 
 
 def boundary_systems(monkeypatch, segments, k, params):
@@ -181,7 +229,7 @@ def boundary_systems(monkeypatch, segments, k, params):
     bound = oracle._condition_bound
     monkeypatch.setattr(oracle, "_condition_bound", spy)
     try:
-        oracle._solve_stack(segments, k, params)
+        oracle._solve_stack(segments, k, *inputs(params))
     except oracle.OracleSolveError:
         pass  # the systems were bounded before the rejection
     return seen[-1]
@@ -242,7 +290,7 @@ class TestConditionBound:
         with pytest.raises(oracle.OracleSolveError) as exc:
             solve(ModeFunction.mesa(kl), 1.0, params)
         with pytest.raises(oracle.OracleSolveError) as batch_exc:
-            solve_mesa(np.array([0.5, 1.0, 1.0]), [SystemParams(0.0, 50.0, 0), params, params])
+            mesa_batch(np.array([0.5, 1.0, 1.0]), [SystemParams(0.0, 50.0, 0), params, params])
         assert str(batch_exc.value) == str(exc.value)
         assert f"at k=1.0, params={params}" in str(exc.value)
 
@@ -261,13 +309,13 @@ class TestConditionBound:
         with pytest.raises(oracle.OracleSolveError) as exc:
             solve(free, 0.5, params[1])
         with pytest.raises(oracle.OracleSolveError) as batch_exc:
-            oracle._solve_stack(free.segments, k, params)
+            oracle._solve_stack(free.segments, k, *inputs(params))
         assert str(batch_exc.value) == str(exc.value)
         assert "(cond=inf) at k=0.5, params=SystemParams(detuning_ratio=0.25" in str(exc.value)
         # a nan length fills its system with nan; the singular point comes after it
         lengths = np.array([10.0, math.nan, 10.0])
         with pytest.raises(oracle.OracleSolveError) as exc:
-            oracle._solve_stack(((lengths, 0.0),), k, params)
+            oracle._solve_stack(((lengths, 0.0),), k, *inputs(params))
         assert "(cond=nan) at k=0.5, params=SystemParams(detuning_ratio=0.25, " \
             "coupling_length=10.0, photon_number=0)" in str(exc.value)
 
@@ -277,12 +325,12 @@ class TestConditionBound:
         with pytest.raises(DomainError, match="finite square, got 1e\\+300"):
             solve(ModeFunction.mesa(100.0), 1e300, params)
         with pytest.raises(DomainError, match="finite square, got 2e\\+154"):
-            solve_mesa(np.array([0.5, 2e154, 1e300]), [params] * 3)
+            mesa_batch(np.array([0.5, 2e154, 1e300]), [params] * 3)
 
     def test_amplitudes_keep_their_bits(self):
         k = np.array([p[2] for p in RECORDED_AMPLITUDES])
         params = [SystemParams(d, kl, n) for *_, d, n, kl in RECORDED_AMPLITUDES]
-        res = solve_mesa(k, params)
+        res = mesa_batch(k, params)
         for i, (a, b, *_) in enumerate(RECORDED_AMPLITUDES):
             recorded = [from_hex(*a), from_hex(*b)]
             assert np.array_equal(bits([res.t_a[i], res.t_b[i]]), bits(recorded))
@@ -334,3 +382,18 @@ def test_oracle_is_independent_of_the_closed_forms():
         assert module != scattering.__name__, name
         if module == core.__name__:
             assert not value.__name__.startswith("_"), name
+
+
+def test_oracle_reads_no_derived_quantity():
+    # the oracle reads a point's inputs only: without the dressed-state
+    # attributes of its SystemParams, solve gives the same amplitudes
+    from mazer.core import _DERIVED
+
+    params = SystemParams(-1.0, 50.0, 1)
+    want = solve(STEP, 0.2, params)
+    bare = SystemParams(-1.0, 50.0, 1)
+    for name in _DERIVED:
+        del vars(bare)[name]
+    with pytest.raises(AttributeError):
+        bare.theta
+    assert solve(STEP, 0.2, bare) == want

@@ -347,13 +347,22 @@ class TestStackedTransmissions:
 
     def test_untrusted_element_falls_back_alone(self, monkeypatch):
         ks = np.linspace(0.01, 0.15, 7)
-        deltas = np.linspace(-5.0, 5.0, 7).tolist()
+        deltas = np.linspace(-5.0, 5.0, 7)
+        varied = [SystemParams(0.002 * i, KL200 + i, i % 3) for i in range(7)]
+        sweep = [SystemParams(d, 1000.0, 0) for d in deltas.tolist()]
+        # (k, what transmissions takes, each point's own params)
         cases = [
-            (ks, [SystemParams(0.002 * i, KL200 + i, i % 3) for i in range(7)]),
-            # a delta sweep, as `mazer transmission --sweep delta` passes it
-            (np.full(7, 0.05), [SystemParams(d, 1000.0, 0) for d in deltas]),
+            (ks, varied, varied),
+            (ks, _Dressed.build(*zip(*(
+                (p.detuning_ratio, p.coupling_length, p.photon_number) for p in varied
+            ))), varied),
+            (np.full(7, 0.05), sweep, sweep),
+            # a delta sweep's block, as `mazer transmission --sweep delta` passes it
+            (np.full(7, 0.05), _Dressed.build(deltas, 1000.0, 0), sweep),
+            (np.full(7, 0.3), _Dressed.build(deltas, 3000.0, 7),
+             [SystemParams(d, 3000.0, 7) for d in deltas.tolist()]),
         ]
-        clean = [transmissions(ks, params) for ks, params in cases]
+        clean = [transmissions(ks, given) for ks, given, _ in cases]
         real_inverse = scattering._inverse_denominator
         real_matching = scattering._scatter_matching
 
@@ -371,10 +380,11 @@ class TestStackedTransmissions:
 
         monkeypatch.setattr(scattering, "_inverse_denominator", nan_denominator)
         monkeypatch.setattr(scattering, "_scatter_matching", matching)
-        for (ks, params), (clean_a, clean_b) in zip(cases, clean):
+        for (ks, given, params), (clean_a, clean_b) in zip(cases, clean):
             matched.clear()
-            t_a, t_b = transmissions(ks, params)
+            t_a, t_b = transmissions(ks, given)
             assert matched == [(ks[3], params[3])]
+            assert type(matched[0][1].detuning_ratio) is float
             reference = real_matching(float(ks[3]), params[3])
             assert (t_a[3], t_b[3]) == (reference.T_a, reference.T_b)
             others = np.arange(len(ks)) != 3

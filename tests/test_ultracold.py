@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mazer import ultracold
-from mazer.core import DomainError, SystemParams
+from mazer.core import DomainError, SystemParams, _Dressed
 from mazer.scattering import DegeneracyError, scatter
 from mazer.ultracold import (
     analytic_position,
@@ -363,10 +363,8 @@ class TestBatchIndependence:
         assert repr(batch) == repr([catalog_in_window(p, 0.2, 1e-12) for p in params])
 
     def test_peak_positions_over_a_detuning_sweep(self):
-        params = [
-            SystemParams(d, KL, 0) for d in np.linspace(-0.01, 0.01, 2001).tolist()
-        ]
-        batch = ultracold._peak_positions(1001, params)
+        deltas = np.linspace(-0.01, 0.01, 2001)
+        batch = ultracold._peak_positions(1001, _Dressed.build(deltas, KL, 0))
         for i in range(0, 2001, 40):
-            alone = ultracold.peak_position(1001, params[i])
+            alone = ultracold.peak_position(1001, SystemParams(deltas[i].item(), KL, 0))
             assert (math.isnan(batch[i]) and alone is None) or batch[i] == alone
