@@ -271,27 +271,18 @@ def _read_config(path: str, sp: argparse.ArgumentParser) -> dict:
     return values
 
 
-def _blocks(n: int):
-    """The slices of n rows, `ARRAY_BLOCK` at a time."""
-    return (slice(lo, lo + ARRAY_BLOCK) for lo in range(0, n, ARRAY_BLOCK))
+def _sweep(args):
+    """(k, params) pairs whose rows, in order, are the sweep's.
 
-
-def _sweep_blocks(args):
-    """(k, record) of each block of rows, in row order; record is a `_Dressed`.
-
-    A delta sweep builds one record per block.  A k sweep builds one
-    `SystemParams` per detuning, and each block takes its rows of them.
+    A delta sweep is one pair, whose params is the `_Dressed` record of
+    every row; a k sweep is one pair per detuning, with its `SystemParams`.
     """
     if args.sweep == "delta":
         if args.refine:
             raise DomainError("--refine applies only to --sweep k")
         deltas = np.linspace(args.delta_min, args.delta_max, args.points)
-        for block in _blocks(deltas.size):
-            d = deltas[block]
-            yield np.full(d.size, args.k), _Dressed.build(
-                d, args.coupling_length, args.photon_number
-            )
-        return
+        record = _Dressed.build(deltas, args.coupling_length, args.photon_number)
+        return [(np.full(deltas.size, args.k), record)]
     rows = [
         SystemParams(d, args.coupling_length, args.photon_number) for d in args.delta
     ]
@@ -301,22 +292,18 @@ def _sweep_blocks(args):
         # every detuning's catalog in one batch; each grid takes its own peaks
         catalogs = _catalogs_in_window(rows, args.k_max, args.k_min)
         grids = [refined_grid(grid, args.k_min, args.k_max, [c]) for c in catalogs]
-    k = np.concatenate(grids)
-    owner = np.repeat(np.arange(len(rows)), [g.size for g in grids])
-    record = _Dressed.stack(rows)
-    for block in _blocks(k.size):
-        yield k[block], record.take(owner[block])
+    return list(zip(grids, rows))
 
 
 def cmd_transmission(args) -> int:
-    blocks = [(np.empty(0),) * 5 + (np.empty(0, bool),)]  # a sweep may have no rows
-    for k, record in _sweep_blocks(args):
-        t_a, t_b = transmissions(k, record)
-        blocks.append((
-            k, record.detuning_ratio, t_a, t_b,
-            transmissions_ultracold(k, record), _ultracold_valid(k, record),
+    parts = []
+    for k, params in _sweep(args):
+        t_a, t_b = transmissions(k, params)
+        parts.append((
+            k, np.broadcast_to(params.detuning_ratio, k.shape), t_a, t_b,
+            transmissions_ultracold(k, params), _ultracold_valid(k, params),
         ))
-    k, delta, t_a, t_b, t_uc, valid = map(np.concatenate, zip(*blocks))
+    k, delta, t_a, t_b, t_uc, valid = map(np.concatenate, zip(*parts))
     values = {
         "k": k, "delta": delta, "T_a": t_a, "T_b": t_b, "T_total": t_a + t_b,
         "T_ultracold": t_uc, "uc_valid": valid,

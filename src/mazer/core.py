@@ -102,10 +102,9 @@ def dressed_angle(detuning_ratio: float, photon_number: int) -> float:
     """Mixing angle theta_n of the dressed-state basis, in (0, pi/2).
 
     Defined by cot(2 theta_n) = -(delta/g) / (Omega_n/g) with
-    Omega_n/g = 2 sqrt(n+1).
+    Omega_n/g = 2 sqrt(n+1); delta/g and n must be valid `SystemParams` inputs.
     """
-    if photon_number < 0:
-        raise DomainError(f"photon_number must be >= 0, got {photon_number}")
+    SystemParams.check(detuning_ratio, 1.0, photon_number)
     return _dressed_row(detuning_ratio, photon_number)[_DERIVED.index("theta")]
 
 
@@ -141,14 +140,37 @@ class SystemParams:
             raise DomainError(
                 f"coupling_length must be finite and > 0, got {self.coupling_length}"
             )
-        if self.photon_number < 0:
+        # nan >= 0 is False, and inf is not an integer
+        if not (self.photon_number >= 0 and float(self.photon_number).is_integer()):
             raise DomainError(
-                f"photon_number must be >= 0, got {self.photon_number}"
+                f"photon_number must be an integer >= 0, got {self.photon_number}"
             )
         # the dataclass is frozen, so the derived values go straight into __dict__
         self.__dict__.update(
             zip(_DERIVED, _dressed_row(self.detuning_ratio, self.photon_number))
         )
+
+    @classmethod
+    def check(cls, detuning_ratio, coupling_length, photon_number) -> None:
+        """Apply the rule of `__post_init__` to arrays of points, broadcast together.
+
+        No `SystemParams` is built while every point is valid; the first
+        invalid point, in flat order, raises the `DomainError` its own
+        `SystemParams` raises, or one naming the point should the two rules
+        ever disagree.
+        """
+        d, kl, n = map(np.asarray, (detuning_ratio, coupling_length, photon_number))
+        valid = (
+            np.isfinite(d) & (kl > 0.0) & np.isfinite(kl)
+            & np.isfinite(n) & (n >= 0) & (np.floor(n) == n)
+        )
+        if not valid.all():
+            i = np.argmin(valid)
+            point = tuple(
+                np.broadcast_to(v, valid.shape).flat[i].item() for v in (d, kl, n)
+            )
+            cls(*point)
+            raise DomainError(f"invalid parameters (delta/g, kappa L, n) = {point}")
 
 
 class _Dressed(NamedTuple):
@@ -179,9 +201,8 @@ class _Dressed(NamedTuple):
         coupling_length[i], photon_number[i]); a scalar applies to every point.
 
         No `SystemParams` is built: each row is `_dressed_row`'s, so it holds
-        the bits of `SystemParams(detuning_ratio[i], ...)`.  The first invalid
-        point raises the `DomainError` its `SystemParams` raises, or one that
-        names the point where `SystemParams` accepts it (a nan n).
+        the bits of `SystemParams(detuning_ratio[i], ...)`, and the points are
+        checked by `SystemParams.check`.
         """
         d, kl, n = (
             np.array(v)
@@ -191,12 +212,7 @@ class _Dressed(NamedTuple):
                 np.asarray(photon_number),
             )
         )
-        valid = np.isfinite(d) & (kl > 0.0) & np.isfinite(kl) & (n >= 0)
-        if not valid.all():
-            i = np.argmin(valid)
-            point = d[i].item(), kl[i].item(), n[i].item()
-            SystemParams(*point)  # raises for every point SystemParams rejects
-            raise DomainError(f"invalid parameters (delta/g, kappa L, n) = {point}")
+        SystemParams.check(d, kl, n)
         rows = itertools.chain.from_iterable(
             map(_dressed_row, d.tolist(), n.tolist())
         )

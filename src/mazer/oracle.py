@@ -292,11 +292,10 @@ def solve_mesa(k, detuning_ratio, coupling_length, photon_number) -> SMatrixResu
     Point i is `solve(ModeFunction.mesa(coupling_length[i]), k[i],
     SystemParams(detuning_ratio[i], coupling_length[i], photon_number[i]))`,
     with the same t_a and t_b bit for bit; every field of the result is an
-    array over the points.  The inputs are 1-d arrays of one size, and no
-    `SystemParams` is built unless a point is rejected: the first invalid
-    point raises the `DomainError` its `SystemParams` raises (or one naming
-    the point, where `SystemParams` accepts it: a nan n), and the first
-    ill-conditioned one `OracleSolveError`, with its own k and parameters.
+    array over the points.  The inputs are 1-d arrays of one size, checked
+    by `SystemParams.check`, so the first invalid point raises the
+    `DomainError` its `SystemParams` raises; the first ill-conditioned one
+    raises `OracleSolveError`, with its own k and parameters.
     """
     k = np.asarray(k, dtype=float)
     if not np.all(k > 0.0):
@@ -309,12 +308,7 @@ def solve_mesa(k, detuning_ratio, coupling_length, photon_number) -> SMatrixResu
             "need one detuning, coupling length and photon number per point, got "
             f"shapes {d.shape}, {kl.shape} and {n.shape} for k of shape {k.shape}"
         )
-    valid = np.isfinite(d) & (kl > 0.0) & np.isfinite(kl) & (n >= 0)
-    if not valid.all():
-        i = np.argmin(valid)
-        point = d[i].item(), kl[i].item(), n[i].item()
-        SystemParams(*point)  # raises for every point SystemParams rejects
-        raise DomainError(f"invalid parameters (delta/g, kappa L, n) = {point}")
+    SystemParams.check(d, kl, n)
     x, kb_real = _solve_stack(((kl, 1.0),), k, d, kl, n)
     return _result(k, kb_real, x[:, 0], x[:, 1], x[:, -2], x[:, -1])
 

@@ -8,8 +8,8 @@ denominator is evaluated in cleared-fraction, exponentially scaled form so
 cot/tan poles and cosh overflows never materialize.
 
 The closed form is written once, over numpy arrays of k, for one parameter
-set or one per point (a `_Dressed` record, which a sweep builds once per
-block); `transmissions` is how sweeps, `oracle-check` and the
+set or one per point (a `_Dressed` record, which a delta sweep builds once
+for all its rows); `transmissions` is how sweeps, `oracle-check` and the
 velocity-selection pipeline use it.  Each scalar entry (`scatter`, `tau_pm`,
 `inverse_denominator`) is a one-element call of the same array form, so its
 result is the bits of the array's element.

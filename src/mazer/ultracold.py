@@ -55,7 +55,7 @@ def _ultracold_valid(k: np.ndarray, params) -> np.ndarray:
 
 def ultracold_valid(k: float, params: SystemParams) -> bool:
     """Whether k lies in the ultracold regime the closed forms of this module assume."""
-    return bool(_ultracold_valid(np.array([float(k)]), params)[0])
+    return bool(_ultracold_valid(np.array([_incident(k)]), params)[0])
 
 
 def _branching(kb_ratio: np.ndarray, params: SystemParams) -> np.ndarray:
@@ -177,8 +177,7 @@ def hot_cold_boundary(k: float, photon_number: int) -> float:
     Given by -delta/g = (n+1) (kappa/k)^2; returns the (negative) delta/g.
     """
     k = _incident(k)
-    if photon_number < 0:
-        raise DomainError(f"photon_number must be >= 0, got {photon_number}")
+    SystemParams.check(0.0, 1.0, photon_number)  # n as `SystemParams` takes it
     return -(photon_number + 1.0) / (k * k)
 
 

@@ -298,8 +298,9 @@ def checked_rows(count):
 
 
 class TestOneRecordPerBlock:
-    """The sweeps read one `_Dressed` record per block, not a `SystemParams` per
-    row; each row still holds the scalar entries' bits at its own params."""
+    """The sweeps read `_Dressed` records (the array entries take one block of
+    rows at a time), not a `SystemParams` per row; each row still holds the
+    scalar entries' bits at its own params."""
 
     @pytest.mark.parametrize("sweep", DELTA_SWEEPS)
     def test_delta_sweep_rows_are_the_scalar_entries(self, tmp_path, sweep):

@@ -37,8 +37,10 @@ class TestDressedAngle:
         assert dressed_angle(-1e6, 0) == pytest.approx(0.0, abs=1e-5)
 
     def test_negative_photon_number_rejected(self):
-        with pytest.raises(DomainError):
-            dressed_angle(0.0, -1)
+        # and every other point `SystemParams` rejects
+        for delta, n in ((0.0, -1), (0.0, 1.5), (math.nan, 0), (math.inf, 0)):
+            with pytest.raises(DomainError):
+                dressed_angle(delta, n)
 
     @given(delta=DETUNINGS, n=PHOTONS)
     def test_angle_in_open_interval(self, delta, n):
@@ -120,8 +122,19 @@ class TestSystemParams:
                 SystemParams(bad, 1000.0, 0)
 
     def test_invalid_photon_number_rejected(self):
-        with pytest.raises(DomainError):
-            SystemParams(0.0, 1.0, -2)
+        for bad in (-2, 1.5, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                SystemParams(0.0, 1.0, bad)
+        # an integer held as a float is a photon number
+        assert SystemParams(0.0, 1.0, 2.0) == SystemParams(0.0, 1.0, 2)
+
+    def test_check_raises_where_system_params_would_not(self, monkeypatch):
+        # should the mask ever reject a point `__post_init__` accepts, that
+        # point is still an error, named by its values
+        monkeypatch.setattr(SystemParams, "__post_init__", lambda self: None)
+        want = "invalid parameters (delta/g, kappa L, n) = (0.0, 10.0, 1.5)"
+        with pytest.raises(DomainError, match=f"^{re.escape(want)}$"):
+            SystemParams.check(np.zeros(2), 10.0, np.array([0, 1.5]))
 
 
 def wide_domain_points(seed, size):
@@ -130,6 +143,16 @@ def wide_domain_points(seed, size):
     delta = rng.uniform(-1e4, 1e3, size)
     delta[::10] = 0.0
     return delta, 10.0 ** rng.uniform(1.0, 6.0, size), rng.integers(0, 51, size)
+
+
+def first_params_error(points):
+    """The message of the first point whose `SystemParams` raises."""
+    for point in points:
+        try:
+            SystemParams(*point)
+        except DomainError as e:
+            return str(e)
+    raise AssertionError("every point is valid")
 
 
 class TestDressedBuild:
@@ -170,26 +193,17 @@ class TestDressedBuild:
             ([0.0, 1.0, 2.0], [10.0, 10.0, 10.0], [0, -3, 0]),
             ([0.0, 1.0, 2.0], [10.0, 10.0, 0.0], [0, 0, 0]),
             ([0.0, 1.0, 2.0], [10.0, 10.0, 10.0], [0, math.nan, -1]),
+            ([0.0, 1.0, 2.0], [10.0, 10.0, 10.0], [0, 1.5, -1]),
+            ([0.0, 1.0, 2.0], [10.0, 10.0, 10.0], [0, 1.0, math.inf]),
         ],
         ids=[
             "nan-delta", "negative-length", "infinite-length", "negative-n",
-            "zero-length", "nan-n",
+            "zero-length", "nan-n", "fractional-n", "infinite-n",
         ],
     )
     def test_first_invalid_point_raises_its_error(self, delta, kl, n):
-        bad = next(
-            i for i in range(3)
-            if not (math.isfinite(delta[i]) and math.isfinite(kl[i]) and kl[i] > 0.0
-                    and n[i] >= 0)
-        )
-        point = delta[bad], kl[bad], n[bad]
-        # the point's SystemParams names it; a nan n, which SystemParams
-        # accepts, is named by its values
-        try:
-            SystemParams(*point)
-            want = f"invalid parameters (delta/g, kappa L, n) = {point}"
-        except DomainError as e:
-            want = str(e)
+        # the point's own SystemParams names it
+        want = first_params_error(zip(delta, kl, n))
         with pytest.raises(DomainError, match=f"^{re.escape(want)}$"):
             _Dressed.build(np.array(delta), np.array(kl), np.array(n))
 

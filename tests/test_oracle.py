@@ -200,18 +200,18 @@ class TestStackedSolve:
         "bad",
         [
             (math.nan, 10.0, 0), (0.0, -1.0, 0), (0.0, math.inf, 0), (0.0, 10.0, -1),
-            (0.0, 10.0, math.nan),
+            (0.0, 10.0, math.nan), (0.0, 10.0, 1.5), (0.0, 10.0, math.inf),
         ],
-        ids=["nan-delta", "negative-length", "infinite-length", "negative-n", "nan-n"],
+        ids=[
+            "nan-delta", "negative-length", "infinite-length", "negative-n", "nan-n",
+            "fractional-n", "infinite-n",
+        ],
     )
     def test_invalid_point_raises_its_params_error(self, bad):
-        # the first invalid point is named, as its SystemParams names it; a nan
-        # n, which SystemParams accepts, is named by its values
-        try:
+        # the first invalid point is named, as its SystemParams names it
+        with pytest.raises(DomainError) as e:
             SystemParams(*bad)
-            want = f"invalid parameters (delta/g, kappa L, n) = {bad}"
-        except DomainError as e:
-            want = str(e)
+        want = str(e.value)
         points = [(0.0, 10.0, 0), bad, (-math.inf, 0.0, -5)]
         d, kl, n = (np.array(column) for column in zip(*points))
         with pytest.raises(DomainError, match=f"^{re.escape(want)}$"):

@@ -37,6 +37,7 @@ from mazer.ultracold import (
     resonance_amplitude,
     transmission_ultracold,
     transmissions_ultracold,
+    ultracold_valid,
 )
 
 KL = 1e3 * math.pi
@@ -539,10 +540,11 @@ def test_scalar_entry_is_its_array_element(entry, points):
         lambda k, params: hot_cold_boundary(k, 0),
         transmission_ultracold,
         p_em_ultracold,
+        ultracold_valid,
     ],
     ids=["scatter", "inverse_denominator", "tau_pm", "channel_wavenumbers",
          "loeffler_resonant", "hot_cold_boundary", "transmission_ultracold",
-         "p_em_ultracold"],
+         "p_em_ultracold", "ultracold_valid"],
 )
 @pytest.mark.parametrize("k", [0.0, -0.05, math.nan])
 def test_scalar_entries_share_one_k_check(entry, k):

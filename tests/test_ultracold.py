@@ -44,6 +44,9 @@ class TestTransmissionUltracold:
         assert ultracold_valid(0.01, PARAMS0)
         assert not ultracold_valid(0.5, PARAMS0)
         assert not ultracold_valid(0.01, SystemParams(0.0, 10.0, 0))
+        for k in (-1.0, 0.0, math.nan):
+            with pytest.raises(DomainError):
+                ultracold_valid(k, PARAMS0)
 
     def test_agreement_with_exact_in_validity_region(self):
         # The factorized form carries an O(delta/g) relative amplitude error
@@ -286,8 +289,9 @@ class TestHotColdBoundary:
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             hot_cold_boundary(0.0, 0)
-        with pytest.raises(DomainError):
-            hot_cold_boundary(0.05, -1)
+        for n in (-1, 1.5, math.nan):
+            with pytest.raises(DomainError):
+                hot_cold_boundary(0.05, n)
 
 
 def unresolved(peaks):
